@@ -1,9 +1,10 @@
 //! Insert-path cost attribution (diagnostic used in EXPERIMENTS.md):
-//! throughput of 500K inserts with each §3.2 mechanism toggled, plus the
-//! DequeSet variant that makes the min-swap cheap.
+//! throughput of 500K list-set inserts with each §3.2 mechanism toggled,
+//! plus the default sorted-ring set (`DequeSet`) that makes the min-swap
+//! cheap.
 
 fn main() {
-    use zmsq::{DequeSet, QualityOpts, TatasLock, Zmsq, ZmsqConfig};
+    use zmsq::{QualityOpts, ZmsqConfig, ZmsqDeque, ZmsqList};
     for (label, cfg) in [
         ("48-72 full", ZmsqConfig::default().batch(48).target_len(72)),
         ("16-24 full", ZmsqConfig::default().batch(16).target_len(24)),
@@ -28,11 +29,10 @@ fn main() {
                 }),
         ),
     ] {
-        let q: Zmsq<u64> = Zmsq::with_config(cfg);
+        let q: ZmsqList<u64> = ZmsqList::with_config(cfg);
         run(label, &q);
     }
-    let q: Zmsq<u64, DequeSet<u64>, TatasLock> =
-        Zmsq::with_config(ZmsqConfig::default().batch(48).target_len(72));
+    let q: ZmsqDeque<u64> = ZmsqDeque::with_config(ZmsqConfig::default().batch(48).target_len(72));
     run("48-72 deque full", &q);
 }
 

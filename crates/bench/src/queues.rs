@@ -2,7 +2,7 @@
 
 use baselines::{CoarseHeap, FifoQueue, KLsm, Mound, MultiQueue, SprayList, StrictSkiplistPq};
 use pq_traits::ConcurrentPriorityQueue;
-use zmsq::{ArraySet, DequeSet, ListSet, Reclamation, SlabSet, TatasLock, Zmsq, ZmsqConfig};
+use zmsq::{ArraySet, DequeSet, Reclamation, TatasLock, Zmsq, ZmsqConfig, ZmsqList};
 
 /// A boxed queue usable by every generic driver.
 pub type BoxedQueue<V> = Box<dyn ConcurrentPriorityQueue<V> + Sync + Send>;
@@ -23,7 +23,7 @@ pub fn make_zmsq<V: Send + 'static>(
 }
 
 /// Construct a tuned ZMSQ with an explicit set representation
-/// (`"list"`, `"array"`, `"deque"`, or `"slab"`).
+/// (`"list"`, `"array"` or `"deque"`; anything else builds the list).
 pub fn make_zmsq_set<V: Send + 'static>(
     batch: usize,
     target_len: usize,
@@ -37,41 +37,35 @@ pub fn make_zmsq_set<V: Send + 'static>(
     match set {
         "array" => Box::new(Zmsq::<V, ArraySet<V>, TatasLock>::with_config(cfg)),
         "deque" => Box::new(Zmsq::<V, DequeSet<V>, TatasLock>::with_config(cfg)),
-        "slab" => Box::new(Zmsq::<V, SlabSet<V>, TatasLock>::with_config(cfg)),
-        _ => Box::new(Zmsq::<V, ListSet<V>, TatasLock>::with_config(cfg)),
+        _ => Box::new(ZmsqList::<V>::with_config(cfg)),
     }
 }
 
 /// Construct a queue by name. `threads` parameterizes the thread-count-
 /// sensitive queues (SprayList spray width, MultiQueue heap count).
 ///
-/// Known names: `zmsq`, `zmsq-array`, `zmsq-deque`, `zmsq-slab`,
-/// `zmsq-slab-bounded`, `zmsq-leak`, `zmsq-wait`, `zmsq-strict`,
-/// `zmsq-sharded`, `zmsq-sharded-adaptive`, `mound`, `spraylist`,
-/// `multiqueue`, `klsm`, `coarse-heap`, `skiplist-strict`, `fifo`.
+/// Known names: `zmsq`, `zmsq-array`, `zmsq-deque`, `zmsq-leak`,
+/// `zmsq-wait`, `zmsq-strict`, `zmsq-sharded`, `zmsq-sharded-adaptive`,
+/// `mound`, `spraylist`, `multiqueue`, `klsm`, `coarse-heap`,
+/// `skiplist-strict`, `fifo`.
 ///
-/// `zmsq-slab-bounded` is the `Zmsq::bounded` composition (slab sets +
-/// capacity admission with the pre-published arena) at a fixed 2^18 =
-/// 262,144 elements — above every harness's default prefill, so the
-/// bench workloads never hit the admission ceiling and the arm isolates
-/// the allocation-free steady state (`ops_latency --assert-alloc-free`).
+/// `zmsq` and its `-leak`/`-wait`/`-strict` variants are the paper's
+/// list-set queue, pinned explicitly so the paper figures do not follow
+/// `Zmsq`'s default set (the sorted ring, `zmsq-deque`). The sharded
+/// kinds use the default.
 pub fn make_queue<V: Send + 'static>(kind: &str, threads: usize) -> BoxedQueue<V> {
     let default = ZmsqConfig::default(); // batch=48, targetLen=72 (§4.2)
     match kind {
-        "zmsq" => Box::new(Zmsq::<V>::with_config(default)),
+        "zmsq" => Box::new(ZmsqList::<V>::with_config(default)),
         "zmsq-array" => Box::new(Zmsq::<V, ArraySet<V>, TatasLock>::with_config(default)),
         "zmsq-deque" => Box::new(Zmsq::<V, DequeSet<V>, TatasLock>::with_config(default)),
-        "zmsq-slab" => Box::new(Zmsq::<V, SlabSet<V>, TatasLock>::with_config(default)),
-        "zmsq-slab-bounded" => Box::new(Zmsq::<V, SlabSet<V>, TatasLock>::with_config(
-            default.capacity(1 << 18),
-        )),
-        "zmsq-leak" => Box::new(Zmsq::<V>::with_config(
+        "zmsq-leak" => Box::new(ZmsqList::<V>::with_config(
             default.reclamation(Reclamation::Leak),
         )),
-        "zmsq-wait" => Box::new(Zmsq::<V>::with_config(
+        "zmsq-wait" => Box::new(ZmsqList::<V>::with_config(
             default.reclamation(Reclamation::ConsumerWait),
         )),
-        "zmsq-strict" => Box::new(Zmsq::<V>::with_config(ZmsqConfig::strict())),
+        "zmsq-strict" => Box::new(ZmsqList::<V>::with_config(ZmsqConfig::strict())),
         "zmsq-sharded" => Box::new(zmsq::ShardedZmsq::<V>::new(threads.max(2) / 2, default)),
         "zmsq-sharded-adaptive" => Box::new(zmsq::ShardedZmsq::<V>::new(
             threads.max(2) / 2,
@@ -149,8 +143,6 @@ mod tests {
             "zmsq",
             "zmsq-array",
             "zmsq-deque",
-            "zmsq-slab",
-            "zmsq-slab-bounded",
             "zmsq-leak",
             "zmsq-wait",
             "zmsq-strict",
@@ -175,6 +167,8 @@ mod tests {
             assert_eq!(got, vec![5, 9], "{kind} lost elements");
             assert!(!q.name().is_empty());
         }
+        // The paper arms measure the list set whatever `Zmsq`'s default is.
+        assert_eq!(make_queue::<u64>("zmsq", 2).name(), "zmsq-list");
     }
 
     #[test]

@@ -35,6 +35,11 @@
 //! forced insertion into under-full deep nodes, a parent-min swap that
 //! compacts the parent's range, and an overflow split.
 //!
+//! Each set is, by default, a sorted ring ([`DequeSet`]) with O(1)
+//! access to both ends, which the parent-min swap needs. The paper's
+//! linked-list and array sets remain as [`ZmsqList`] and [`ZmsqArray`]
+//! for its figures.
+//!
 //! # Quick start
 //!
 //! ```
@@ -71,16 +76,14 @@ mod queue;
 mod rng;
 mod set;
 mod sharded;
-pub mod slab;
 mod stats;
 mod tnode;
 mod tree;
 
 pub use config::{LockStrategy, QualityOpts, Reclamation, ShedPolicy, ZmsqConfig};
 pub use queue::{SetSizeStats, Zmsq};
-pub use set::{ArraySet, DequeSet, ListSet, NodeSet, SlabSet};
+pub use set::{ArraySet, DequeSet, ListSet, NodeSet};
 pub use sharded::{ShardedConfig, ShardedZmsq};
-pub use slab::{Slab, SlabStats};
 pub use stats::StatsSnapshot;
 
 // Re-exported so bounded-queue callers can match the fallible-insert
@@ -90,17 +93,14 @@ pub use pq_traits::InsertError;
 // Re-exported so callers can name lock type parameters.
 pub use zmsq_sync::{OsLock, RawTryLock, TasLock, TatasLock};
 
-/// ZMSQ with the default linked-list sets ("ZMSQ" curves in the paper).
+/// ZMSQ with linked-list sets ("ZMSQ" curves in the paper).
 pub type ZmsqList<V> = Zmsq<V, ListSet<V>, TatasLock>;
 /// ZMSQ with unsorted array sets ("ZMSQ (array)" curves in the paper).
 pub type ZmsqArray<V> = Zmsq<V, ArraySet<V>, TatasLock>;
-/// ZMSQ with sorted-deque sets — this reproduction's extension that makes
-/// the §3.2 parent-min swap O(1) at both ends (see `DequeSet`).
+/// ZMSQ with sorted-ring sets, the same type as the default `Zmsq<V>`:
+/// this reproduction's extension that makes the §3.2 parent-min swap
+/// O(1) at both ends (see `DequeSet`).
 pub type ZmsqDeque<V> = Zmsq<V, DequeSet<V>, TatasLock>;
-/// ZMSQ with slab-backed, u32-index-linked sets: per-element storage comes
-/// from a shared recycling [`Slab`] instead of the allocator, so
-/// steady-state inserts/extracts are allocation-free (see [`Zmsq::bounded`]).
-pub type ZmsqSlab<V> = Zmsq<V, SlabSet<V>, TatasLock>;
 
 impl<V: Send + 'static, S: NodeSet<V> + 'static, L: RawTryLock + 'static>
     pq_traits::ConcurrentPriorityQueue<V> for Zmsq<V, S, L>

@@ -64,7 +64,7 @@ use zmsq_sync::{
 use crate::config::{LockStrategy, ShedPolicy, ZmsqConfig};
 use crate::pool::Pool;
 use crate::rng;
-use crate::set::{ListSet, NodeSet};
+use crate::set::{DequeSet, NodeSet};
 use crate::stats::{Stats, StatsSnapshot};
 use crate::tnode::TNode;
 use crate::tree::{Pos, Tree};
@@ -92,10 +92,11 @@ fn node_site() -> zmsq_sync::SiteId {
 /// A practical, scalable, relaxed concurrent priority queue.
 ///
 /// See the [crate docs](crate) for the algorithm overview. Type
-/// parameters select the per-node set representation (`S`) and the node
-/// lock (`L`); the aliases [`ZmsqList`](crate::ZmsqList) and
-/// [`ZmsqArray`](crate::ZmsqArray) cover the paper's two variants.
-pub struct Zmsq<V, S = ListSet<V>, L = TatasLock>
+/// parameters select the per-node set representation (`S`, by default
+/// the sorted ring [`DequeSet`]) and the node lock (`L`); the aliases
+/// [`ZmsqList`](crate::ZmsqList) and [`ZmsqArray`](crate::ZmsqArray)
+/// cover the paper's two variants.
+pub struct Zmsq<V, S = DequeSet<V>, L = TatasLock>
 where
     V: Send,
     S: NodeSet<V>,
@@ -104,10 +105,6 @@ where
     tree: Tree<V, S, L>,
     pool: Pool<V>,
     cfg: ZmsqConfig,
-    /// Queue-wide node-storage arena. `()` for plain sets; the shared
-    /// recycling slab for [`SlabSet`](crate::SlabSet), pre-sized to
-    /// `cfg.capacity` so a bounded queue never grows it in steady state.
-    arena: S::Arena,
     events: Option<EventBuffer>,
     /// Producer-side blocking, allocated iff `cfg.capacity` is set (all
     /// shed policies share it so `close()` and the waiter gauges are
@@ -254,13 +251,15 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         Self::with_config(ZmsqConfig::default())
     }
 
-    /// Create a fixed-capacity queue whose slab (for slab-backed sets)
-    /// is pre-allocated to `n` elements: with admission control keeping
-    /// occupancy at or below `n`, steady-state operation performs zero
-    /// allocator calls (`alloc.slab_grows` stays 0 — see
-    /// [`slab_stats`](Self::slab_stats)). Admission defaults to
-    /// [`ShedPolicy::Block`](crate::ShedPolicy::Block); compose with
-    /// [`ZmsqConfig::shed_policy`] via `with_config` for other policies.
+    /// Create a fixed-capacity queue: admission control keeps occupancy
+    /// at or below `n`. Bounded means capacity admission only; it
+    /// reserves no memory up front. The sets keep their storage once
+    /// warm, so the steady state's remaining allocator calls are the
+    /// pool's buffer per refill and a `Vec` per split (zbench's
+    /// `alloc.calls_per_op` counts them).
+    /// Admission defaults to [`ShedPolicy::Block`](crate::ShedPolicy::Block);
+    /// compose with [`ZmsqConfig::shed_policy`] via `with_config` for
+    /// other policies.
     pub fn bounded(n: usize) -> Self {
         Self::with_config(ZmsqConfig::default().capacity(n))
     }
@@ -268,9 +267,8 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
     /// Create a queue with an explicit configuration.
     pub fn with_config(cfg: ZmsqConfig) -> Self {
         let cfg = cfg.normalized();
-        let arena = S::new_arena(cfg.capacity.unwrap_or(0));
         Self {
-            tree: Tree::new(cfg.initial_leaf_level, &arena),
+            tree: Tree::new(cfg.initial_leaf_level),
             // The pool is allocated at the top of the adaptive range so a
             // widened batch never outgrows the (ConsumerWait) buffer;
             // batch_max == batch when adaptation is off.
@@ -289,7 +287,6 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
             rank_est: cfg.rank_estimator.map(obs::RankEstimator::new),
             sojourn: cfg.sojourn.map(obs::SojournTracker::new),
             cfg,
-            arena,
         }
     }
 
@@ -308,22 +305,9 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         &self.cfg
     }
 
-    /// Snapshot of the operation counters. For slab-backed sets the
-    /// arena's allocation counters are merged in (`slab_hits`,
-    /// `slab_grows`).
+    /// Snapshot of the operation counters.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut s = self.stats.snapshot();
-        if let Some(sl) = S::arena_stats(&self.arena) {
-            s.slab_hits = sl.hits;
-            s.slab_grows = sl.grows;
-        }
-        s
-    }
-
-    /// Allocation counters of the node-storage slab, or `None` for set
-    /// representations that allocate per element (list/array/deque).
-    pub fn slab_stats(&self) -> Option<crate::slab::SlabStats> {
-        S::arena_stats(&self.arena)
+        self.stats.snapshot()
     }
 
     /// Best-effort size (inserts minus extractions; exact when quiescent).
@@ -659,7 +643,7 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
                     return ((leaf, slot), true);
                 }
             }
-            let grown = self.tree.grow(leaf, &self.arena);
+            let grown = self.tree.grow(leaf);
             if grown > leaf {
                 self.stats.tree_grows.incr();
                 obs::trace_event!(obs::EventKind::TreeGrow, grown as u32);
@@ -843,7 +827,7 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         // never a correctness one.
         while self.tree.leaf_level() <= pos.0 {
             let before = self.tree.leaf_level();
-            if self.tree.grow(before, &self.arena) == before {
+            if self.tree.grow(before) == before {
                 node.unlock();
                 return;
             }
@@ -1696,14 +1680,15 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> std::fmt::Debug for Zmsq<V, S, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArraySet, Reclamation};
+    use crate::{ArraySet, ListSet, Reclamation};
 
-    type ListQ = Zmsq<u64>;
+    /// The default queue: sorted-ring sets.
+    type Q = Zmsq<u64>;
     type ArrayQ = Zmsq<u64, ArraySet<u64>>;
 
     #[test]
     fn empty_queue_extracts_none() {
-        let q = ListQ::new();
+        let q = Q::new();
         assert_eq!(q.extract_max(), None);
         assert_eq!(q.len_hint(), 0);
         assert_eq!(q.stats().empty_observed, 1);
@@ -1711,7 +1696,7 @@ mod tests {
 
     #[test]
     fn single_element_roundtrip() {
-        let q = ListQ::new();
+        let q = Q::new();
         q.insert(42, 420);
         assert_eq!(q.len_hint(), 1);
         assert_eq!(q.extract_max(), Some((42, 420)));
@@ -1720,7 +1705,7 @@ mod tests {
 
     #[test]
     fn strict_mode_is_exact() {
-        let q: ListQ = Zmsq::with_config(ZmsqConfig::strict());
+        let q: Q = Zmsq::with_config(ZmsqConfig::strict());
         let keys = [17u64, 3, 99, 45, 99, 2, 63, 0, 1000];
         for &k in &keys {
             q.insert(k, k);
@@ -1735,7 +1720,7 @@ mod tests {
 
     #[test]
     fn strict_mode_many_random() {
-        let q: ListQ = Zmsq::with_config(ZmsqConfig::strict().target_len(8));
+        let q: Q = Zmsq::with_config(ZmsqConfig::strict().target_len(8));
         let mut keys: Vec<u64> = (0..5000).map(|i| (i * 2654435761u64) % 100_000).collect();
         for &k in &keys {
             q.insert(k, k);
@@ -1749,7 +1734,7 @@ mod tests {
 
     #[test]
     fn relaxed_mode_conserves_elements() {
-        let q = ListQ::with_config(ZmsqConfig::default().batch(8).target_len(12));
+        let q = Q::with_config(ZmsqConfig::default().batch(8).target_len(12));
         let n = 10_000u64;
         let mut expect_sum = 0u64;
         for i in 0..n {
@@ -1777,7 +1762,7 @@ mod tests {
         // placement forever. Build that state — a grown tree where every
         // leaf holds a few high keys — then bulk-insert keys below all
         // of them.
-        let q = ListQ::with_config(ZmsqConfig::default().batch(4).target_len(6));
+        let q = Q::with_config(ZmsqConfig::default().batch(4).target_len(6));
         for i in 0..600u64 {
             q.insert(10_000 + (i * 48271) % 50_000, i);
         }
@@ -1798,7 +1783,7 @@ mod tests {
         // elements. Single-threaded, quiescent: extract batch+1 and the
         // true max must be among them.
         for batch in [1usize, 4, 16] {
-            let q = ListQ::with_config(ZmsqConfig::default().batch(batch).target_len(batch.max(8)));
+            let q = Q::with_config(ZmsqConfig::default().batch(batch).target_len(batch.max(8)));
             for i in 0..2000u64 {
                 q.insert(i, i);
             }
@@ -1815,7 +1800,7 @@ mod tests {
 
     #[test]
     fn invariants_after_mixed_single_threaded() {
-        let mut q = ListQ::with_config(ZmsqConfig::default().batch(16).target_len(16));
+        let mut q = Q::with_config(ZmsqConfig::default().batch(16).target_len(16));
         let mut x = 7u64;
         for i in 0..30_000u64 {
             x ^= x << 13;
@@ -1847,7 +1832,7 @@ mod tests {
             Reclamation::ConsumerWait,
             Reclamation::Leak,
         ] {
-            let q = ListQ::with_config(
+            let q = Q::with_config(
                 ZmsqConfig::default()
                     .batch(4)
                     .target_len(8)
@@ -1866,7 +1851,7 @@ mod tests {
     #[test]
     fn zero_priority_elements_are_not_lost() {
         // Priority 0 exercises the empty-set sentinel edge cases.
-        let q = ListQ::with_config(ZmsqConfig::default().batch(4).target_len(4));
+        let q = Q::with_config(ZmsqConfig::default().batch(4).target_len(4));
         for _ in 0..100 {
             q.insert(0, 0);
         }
@@ -1877,7 +1862,7 @@ mod tests {
 
     #[test]
     fn duplicate_priorities() {
-        let q = ListQ::with_config(ZmsqConfig::default().batch(8).target_len(8));
+        let q = Q::with_config(ZmsqConfig::default().batch(8).target_len(8));
         for i in 0..1000u64 {
             q.insert(7, i);
         }
@@ -1888,7 +1873,7 @@ mod tests {
 
     #[test]
     fn stats_track_operations() {
-        let q = ListQ::with_config(ZmsqConfig::default().batch(8).target_len(8));
+        let q = Q::with_config(ZmsqConfig::default().batch(8).target_len(8));
         for i in 0..500u64 {
             q.insert(i, i);
         }
@@ -1936,7 +1921,7 @@ mod tests {
     #[test]
     fn spinning_extraction_waits_for_producer() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        let q = ListQ::with_config(ZmsqConfig::default().batch(4).target_len(8).blocking(true));
+        let q = Q::with_config(ZmsqConfig::default().batch(4).target_len(8).blocking(true));
         let got = AtomicU64::new(0);
         std::thread::scope(|s| {
             let (q2, got2) = (&q, &got);
@@ -1961,7 +1946,7 @@ mod tests {
 
     #[test]
     fn blocking_misconfiguration_panics() {
-        let q = ListQ::new();
+        let q = Q::new();
         let err =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| q.extract_max_blocking()));
         assert!(err.is_err());
@@ -1984,7 +1969,7 @@ mod tests {
 
     #[test]
     fn insert_batch_roundtrip_and_order() {
-        let q: ListQ = Zmsq::with_config(ZmsqConfig::strict().target_len(8));
+        let q: Q = Zmsq::with_config(ZmsqConfig::strict().target_len(8));
         let mut items: Vec<(u64, u64)> = (0..1000u64).map(|i| ((i * 7919) % 5000, i)).collect();
         let mut expect: Vec<u64> = items.iter().map(|&(k, _)| k).collect();
         q.insert_batch(&mut items);
@@ -1998,7 +1983,7 @@ mod tests {
 
     #[test]
     fn insert_batch_mixed_with_single_inserts() {
-        let mut q = ListQ::with_config(ZmsqConfig::default().batch(8).target_len(12));
+        let mut q = Q::with_config(ZmsqConfig::default().batch(8).target_len(12));
         let mut total = 0u64;
         for round in 0..50u64 {
             let mut batch: Vec<(u64, u64)> =
@@ -2017,7 +2002,7 @@ mod tests {
 
     #[test]
     fn insert_batch_empty_is_noop() {
-        let q = ListQ::new();
+        let q = Q::new();
         let mut empty: Vec<(u64, u64)> = Vec::new();
         q.insert_batch(&mut empty);
         assert_eq!(q.extract_max(), None);
@@ -2026,7 +2011,7 @@ mod tests {
     #[test]
     fn insert_batch_concurrent_conservation() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        let q = ListQ::with_config(ZmsqConfig::default().batch(16).target_len(16));
+        let q = Q::with_config(ZmsqConfig::default().batch(16).target_len(16));
         let got = AtomicU64::new(0);
         std::thread::scope(|s| {
             for t in 0..4u64 {
@@ -2052,7 +2037,7 @@ mod tests {
 
     #[test]
     fn extract_batch_drains_and_conserves() {
-        let q = ListQ::with_config(ZmsqConfig::default().batch(8).target_len(12));
+        let q = Q::with_config(ZmsqConfig::default().batch(8).target_len(12));
         for i in 0..500u64 {
             q.insert(i, i);
         }
@@ -2072,7 +2057,7 @@ mod tests {
 
     #[test]
     fn extract_batch_strict_is_exact() {
-        let q: ListQ = Zmsq::with_config(ZmsqConfig::strict());
+        let q: Q = Zmsq::with_config(ZmsqConfig::strict());
         for k in [3u64, 9, 1, 7] {
             q.insert(k, k);
         }
@@ -2085,7 +2070,7 @@ mod tests {
     #[test]
     fn extract_batch_concurrent_conservation() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        let q = ListQ::with_config(ZmsqConfig::default().batch(16).target_len(16));
+        let q = Q::with_config(ZmsqConfig::default().batch(16).target_len(16));
         let got = AtomicU64::new(0);
         std::thread::scope(|s| {
             for t in 0..4u64 {
@@ -2108,7 +2093,7 @@ mod tests {
 
     #[test]
     fn current_batch_moves_within_configured_range() {
-        let q = ListQ::with_config(
+        let q = Q::with_config(
             ZmsqConfig::default()
                 .target_len(32)
                 .batch(8)
@@ -2127,9 +2112,9 @@ mod tests {
         let s = q.stats();
         assert!(s.pool_refills >= 1);
         // Non-adaptive queues refuse to move.
-        let fixed = ListQ::with_config(ZmsqConfig::default().batch(8));
+        let fixed = Q::with_config(ZmsqConfig::default().batch(8));
         assert_eq!(fixed.set_current_batch(100), 8);
-        let strict: ListQ = Zmsq::with_config(ZmsqConfig::strict());
+        let strict: Q = Zmsq::with_config(ZmsqConfig::strict());
         assert_eq!(strict.set_current_batch(100), 0);
         assert_eq!(strict.current_batch(), 0);
     }
@@ -2139,7 +2124,7 @@ mod tests {
         // ConsumerWait reuses one fixed buffer: it must be allocated at
         // batch_max, not the starting batch, or a widened refill would
         // overflow it.
-        let q = ListQ::with_config(
+        let q = Q::with_config(
             ZmsqConfig::default()
                 .target_len(32)
                 .reclamation(Reclamation::ConsumerWait)
@@ -2157,7 +2142,7 @@ mod tests {
 
     #[test]
     fn peek_max_hint_tracks_quiescent_max() {
-        let q: ListQ = Zmsq::with_config(ZmsqConfig::strict());
+        let q: Q = Zmsq::with_config(ZmsqConfig::strict());
         assert_eq!(q.peek_max_hint(), None);
         q.insert(5, 5);
         assert_eq!(q.peek_max_hint(), Some(5));
@@ -2169,7 +2154,7 @@ mod tests {
 
     #[test]
     fn fast_pool_insert_disabled_by_default() {
-        let q = ListQ::with_config(ZmsqConfig::default().batch(8).target_len(8));
+        let q = Q::with_config(ZmsqConfig::default().batch(8).target_len(8));
         for i in 0..500u64 {
             q.insert(i, i);
         }
@@ -2179,7 +2164,7 @@ mod tests {
 
     #[test]
     fn fast_pool_insert_extracted_immediately() {
-        let q = ListQ::with_config(
+        let q = Q::with_config(
             ZmsqConfig::default()
                 .batch(8)
                 .target_len(8)
@@ -2210,7 +2195,7 @@ mod tests {
             Reclamation::ConsumerWait,
             Reclamation::Leak,
         ] {
-            let q = ListQ::with_config(
+            let q = Q::with_config(
                 ZmsqConfig::default()
                     .batch(8)
                     .target_len(12)
@@ -2280,7 +2265,7 @@ mod tests {
 
     #[test]
     fn conditional_extraction_respects_threshold() {
-        let q = ListQ::with_config(ZmsqConfig::default().batch(8).target_len(12));
+        let q = Q::with_config(ZmsqConfig::default().batch(8).target_len(12));
         for i in 0..1000u64 {
             q.insert(i, i);
         }
@@ -2301,7 +2286,7 @@ mod tests {
 
     #[test]
     fn conditional_extraction_strict_mode_is_exact() {
-        let q: ListQ = Zmsq::with_config(ZmsqConfig::strict());
+        let q: Q = Zmsq::with_config(ZmsqConfig::strict());
         for k in [10u64, 20, 30] {
             q.insert(k, k);
         }
@@ -2314,14 +2299,14 @@ mod tests {
 
     #[test]
     fn conditional_extraction_on_empty_queue() {
-        let q = ListQ::with_config(ZmsqConfig::default().batch(4).target_len(8));
+        let q = Q::with_config(ZmsqConfig::default().batch(4).target_len(8));
         assert_eq!(q.try_extract_if(0), None);
         assert_eq!(q.try_extract_if(u64::MAX), None);
     }
 
     #[test]
     fn conditional_extraction_concurrent_conservation() {
-        let q = ListQ::with_config(ZmsqConfig::default().batch(8).target_len(12));
+        let q = Q::with_config(ZmsqConfig::default().batch(8).target_len(12));
         use std::sync::atomic::{AtomicU64, Ordering};
         let taken = AtomicU64::new(0);
         std::thread::scope(|s| {
@@ -2350,7 +2335,7 @@ mod tests {
         // After heavy mixing, extractions should still return elements
         // far above the median (quality smoke test, quantified properly
         // by the accuracy harness in `workloads`).
-        let q = ListQ::with_config(ZmsqConfig::default().batch(32).target_len(48));
+        let q = Q::with_config(ZmsqConfig::default().batch(32).target_len(48));
         for i in 0..100_000u64 {
             q.insert(i, i);
         }
@@ -2375,7 +2360,7 @@ mod tests {
         let _x = fault::exclusive();
         fault::reset();
         fault::set_seed(0xBAD_1257);
-        let q = ListQ::with_config(ZmsqConfig::default().batch(4).target_len(8));
+        let q = Q::with_config(ZmsqConfig::default().batch(4).target_len(8));
         for i in 0..100u64 {
             q.insert(i, i);
         }
@@ -2408,7 +2393,7 @@ mod tests {
         let _x = fault::exclusive();
         fault::reset();
         fault::set_seed(0xBADEA7);
-        let q = ListQ::with_config(ZmsqConfig::default().batch(4).target_len(8));
+        let q = Q::with_config(ZmsqConfig::default().batch(4).target_len(8));
         let n = 500u64;
         for i in 0..n {
             q.insert(i, i);
@@ -2450,7 +2435,7 @@ mod tests {
             "futex.spurious-wake",
             fault::Policy::new(fault::Trigger::Always),
         );
-        let q = ListQ::with_config(ZmsqConfig::default().blocking(true));
+        let q = Q::with_config(ZmsqConfig::default().blocking(true));
         let timeout = std::time::Duration::from_millis(50);
         let start = std::time::Instant::now();
         let got = q.extract_max_timeout(timeout);
@@ -2477,7 +2462,7 @@ mod tests {
 
     #[test]
     fn unbounded_queue_try_insert_always_admits() {
-        let q = ListQ::new();
+        let q = Q::new();
         for i in 0..100u64 {
             q.try_insert(i, i).unwrap();
         }
@@ -2488,7 +2473,7 @@ mod tests {
 
     #[test]
     fn reject_policy_sheds_overflow_and_conserves() {
-        let q = ListQ::with_config(
+        let q = Q::with_config(
             ZmsqConfig::default()
                 .batch(4)
                 .target_len(8)
@@ -2534,7 +2519,7 @@ mod tests {
 
     #[test]
     fn shed_lowest_evicts_low_priorities_for_high() {
-        let q = ListQ::with_config(
+        let q = Q::with_config(
             ZmsqConfig::default()
                 .batch(4)
                 .target_len(8)
@@ -2575,7 +2560,7 @@ mod tests {
     fn shed_lowest_never_admits_below_current_floor() {
         // try_insert under ShedLowest returns Full (keeping the element)
         // when nothing in the queue is lower than the incoming priority.
-        let q = ListQ::with_config(
+        let q = Q::with_config(
             ZmsqConfig::default()
                 .capacity(4)
                 .shed_policy(ShedPolicy::ShedLowest),
@@ -2591,7 +2576,7 @@ mod tests {
 
     #[test]
     fn shed_lowest_invariants_survive_churn() {
-        let mut q = ListQ::with_config(
+        let mut q = Q::with_config(
             ZmsqConfig::default()
                 .batch(8)
                 .target_len(8)
@@ -2622,7 +2607,7 @@ mod tests {
     #[test]
     fn block_policy_parks_producers_until_extraction() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        let q = ListQ::with_config(
+        let q = Q::with_config(
             ZmsqConfig::default()
                 .batch(2)
                 .target_len(4)
@@ -2667,7 +2652,7 @@ mod tests {
 
     #[test]
     fn insert_timeout_times_out_on_full_block_queue() {
-        let q = ListQ::with_config(
+        let q = Q::with_config(
             ZmsqConfig::default()
                 .capacity(1)
                 .shed_policy(ShedPolicy::Block),
@@ -2689,7 +2674,7 @@ mod tests {
     /// queue is woken by `close()` and reports `InsertError::Closed`.
     #[test]
     fn close_wakes_parked_producer_with_closed_error() {
-        let q: ListQ = Zmsq::with_config(
+        let q: Q = Zmsq::with_config(
             ZmsqConfig::default()
                 .capacity(1)
                 .shed_policy(ShedPolicy::Block),
@@ -2720,7 +2705,7 @@ mod tests {
 
     #[test]
     fn close_force_admits_infallible_blocked_insert() {
-        let q: ListQ = Zmsq::with_config(
+        let q: Q = Zmsq::with_config(
             ZmsqConfig::default()
                 .capacity(1)
                 .shed_policy(ShedPolicy::Block),
@@ -2742,7 +2727,7 @@ mod tests {
 
     #[test]
     fn bounded_batches_conserve() {
-        let q = ListQ::with_config(
+        let q = Q::with_config(
             ZmsqConfig::default()
                 .batch(4)
                 .target_len(8)
@@ -2773,7 +2758,7 @@ mod tests {
             "queue.capacity.race",
             fault::Policy::new(fault::Trigger::Prob(0.2)).with_action(fault::Action::SleepMs(1)),
         );
-        let q = ListQ::with_config(
+        let q = Q::with_config(
             ZmsqConfig::default()
                 .batch(2)
                 .target_len(4)

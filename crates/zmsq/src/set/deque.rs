@@ -1,4 +1,5 @@
-//! Sorted-deque set — an extension beyond the paper's two representations.
+//! Sorted-ring set — the production set, beyond the paper's two
+//! representations.
 //!
 //! Reproduction finding (see EXPERIMENTS.md): with a plain singly-linked
 //! list, the §3.2 parent-min swap costs an O(set_len) pointer walk to
@@ -9,16 +10,28 @@
 //! to *both* ends.
 //!
 //! This set provides exactly that: elements sorted **ascending** in a
-//! `VecDeque`, so the max (back) and min (front) are O(1), inserts are a
-//! binary search plus a contiguous shift, and `drain_top` is a tail
-//! split. It keeps the ordered-traversal property the pool refill relies
-//! on while fixing the min-swap's complexity.
+//! `VecDeque` (a ring buffer), so the max (back) and min (front) are
+//! O(1), inserts are a binary search plus a contiguous shift, and
+//! `drain_top` drains the tail. It keeps the ordered-traversal property
+//! the pool refill relies on while fixing the min-swap's complexity.
+//!
+//! Storage is bounded and reused. The ring reserves [`FIRST_RESERVE`]
+//! slots on its first insert, not when its node is built, so empty
+//! leaves cost no memory; it doubles when full and never shrinks. Sets
+//! hold at most `2·target_len` elements between operations (the split
+//! cap), so after warm-up every insert, removal and `drain_top` into a
+//! reserved `out` runs without calling the allocator.
 
 use std::collections::VecDeque;
 
 use super::NodeSet;
 
-/// A multiset as an ascending sorted deque.
+/// Slots reserved on a set's first insert. At the recommended
+/// `target_len = 72`, two doublings cover the split cap of 144 and the
+/// transient peak of an overfull set.
+const FIRST_RESERVE: usize = 64;
+
+/// A multiset as an ascending sorted ring.
 pub struct DequeSet<V> {
     items: VecDeque<(u64, V)>,
 }
@@ -59,6 +72,9 @@ impl<V: Send> NodeSet<V> for DequeSet<V> {
     }
 
     fn insert(&mut self, prio: u64, value: V) {
+        if self.items.capacity() == 0 {
+            self.items.reserve_exact(FIRST_RESERVE);
+        }
         // Fast paths for the two hot cases: new max (regular insertion)
         // and new min (the demoted element of a parent-min swap).
         if self.max_key().is_none_or(|m| prio >= m) {
@@ -84,7 +100,7 @@ impl<V: Send> NodeSet<V> for DequeSet<V> {
     fn drain_top(&mut self, n: usize, out: &mut Vec<(u64, V)>) {
         let take = n.min(self.items.len());
         let split = self.items.len() - take;
-        out.extend(self.items.split_off(split)); // already ascending
+        out.extend(self.items.drain(split..)); // already ascending
     }
 
     fn split_lower_half(&mut self) -> Vec<(u64, V)> {
@@ -154,5 +170,20 @@ mod tests {
         s.drain_top(2, &mut out);
         assert_eq!(out, vec![(7, 7), (9, 9)]);
         assert_eq!(s.max_key(), Some(5));
+    }
+
+    #[test]
+    fn capacity_is_reserved_lazily_and_kept() {
+        let mut s = DequeSet::default();
+        assert_eq!(s.items.capacity(), 0, "an empty node reserves nothing");
+        s.insert(1, 1);
+        assert!(s.items.capacity() >= FIRST_RESERVE);
+        for k in 0..200u64 {
+            s.insert(k, k);
+        }
+        let grown = s.items.capacity();
+        let mut out = Vec::new();
+        s.drain_all(&mut out);
+        assert_eq!(s.items.capacity(), grown, "draining never shrinks");
     }
 }

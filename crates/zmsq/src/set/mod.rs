@@ -1,10 +1,12 @@
 //! Per-node element sets.
 //!
-//! Each `TNode` stores a multiset of `(priority, value)` pairs. The paper
-//! evaluates two representations (§4): a **sorted singly linked list**
-//! (the default, mirroring the mound) and an **unsorted fixed-capacity
-//! array** (the "(array)" curves, trading ordered access for allocation-
-//! free inserts and locality). Both are exercised by every benchmark.
+//! Each `TNode` stores a multiset of `(priority, value)` pairs. The
+//! production set is [`DequeSet`], a sorted ring that is O(1) at both
+//! ends and the default type parameter of `Zmsq` and `ShardedZmsq`. The
+//! paper evaluates two other representations (§4), kept as the paper's
+//! figure arms: a **sorted singly linked list** ([`ListSet`], the "ZMSQ"
+//! curves, mirroring the mound) and an **unsorted array** ([`ArraySet`],
+//! the "(array)" curves).
 //!
 //! Sets are *not* thread-safe: the owning `TNode`'s lock serializes all
 //! access. Duplicate priorities are allowed.
@@ -12,12 +14,10 @@
 mod array;
 mod deque;
 mod list;
-mod slab;
 
 pub use array::ArraySet;
 pub use deque::DequeSet;
 pub use list::ListSet;
-pub use slab::SlabSet;
 
 /// The multiset stored in each tree node.
 ///
@@ -33,32 +33,23 @@ pub use slab::SlabSet;
 /// * `split_lower_half` removes and returns the `len / 2` smallest pairs
 ///   (any order).
 pub trait NodeSet<V>: Default + Send {
-    /// Short tag used in queue names: `"list"` or `"array"`.
+    /// Short tag used in queue names: `"deque"`, `"list"` or `"array"`.
     const KIND: &'static str;
 
-    /// Shared storage arena for set representations that draw node
-    /// storage from a queue-wide slab instead of the allocator. Plain
-    /// sets use `()`; [`SlabSet`] uses an `Arc<Slab<V>>`.
+    /// Always `()`. This item, [`new_arena`](Self::new_arena) and
+    /// [`attach`](Self::attach) exist only for the `zbench` set
+    /// micro-benchmark, which still calls them; the queue does not.
     type Arena: Send + Sync + Default;
 
-    /// Build the queue-wide arena, pre-sized for `prealloc` elements
-    /// (0 = grow on demand). Called once per queue at construction.
+    /// Returns `()`; see [`Arena`](Self::Arena).
     fn new_arena(prealloc: usize) -> Self::Arena {
         let _ = prealloc;
         Default::default()
     }
 
-    /// Attach a node's set to the queue's arena. Called while the node
-    /// is still exclusively owned (before it is published into the
-    /// tree), so a plain `&mut self` suffices.
+    /// Does nothing; see [`Arena`](Self::Arena).
     fn attach(&mut self, arena: &Self::Arena) {
         let _ = arena;
-    }
-
-    /// Allocation counters for the arena, if it keeps any.
-    fn arena_stats(arena: &Self::Arena) -> Option<crate::slab::SlabStats> {
-        let _ = arena;
-        None
     }
 
     /// Number of stored pairs.
@@ -233,7 +224,6 @@ pub(crate) mod tests {
     set_suite!(list_suite, ListSet<u64>);
     set_suite!(array_suite, ArraySet<u64>);
     set_suite!(deque_suite, DequeSet<u64>);
-    set_suite!(slab_suite, SlabSet<u64>);
 
     /// Reference model: a sorted Vec with identical semantics.
     #[derive(Default)]
@@ -351,10 +341,5 @@ pub(crate) mod tests {
     #[test]
     fn deque_matches_model() {
         check_against_model::<DequeSet<u64>>(0x5E7_33D5);
-    }
-
-    #[test]
-    fn slab_matches_model() {
-        check_against_model::<SlabSet<u64>>(0x5E7_44D5);
     }
 }

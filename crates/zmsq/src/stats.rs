@@ -100,14 +100,6 @@ pub struct StatsSnapshot {
     /// under sustained overload); each round of a blocked insert's
     /// wait-retry loop counts once.
     pub producer_waits: u64,
-    /// Slab allocations served by recycling a freed slot (slab-backed
-    /// sets only; 0 otherwise). Merged from the arena by
-    /// [`Zmsq::stats`](crate::Zmsq::stats), not striped here.
-    pub slab_hits: u64,
-    /// Slab chunk publications — the only allocator calls a slab-backed
-    /// queue makes after warmup. `0` over a measurement window is the
-    /// alloc-free-steady-state proof (`ops_latency --assert-alloc-free`).
-    pub slab_grows: u64,
 }
 
 impl Stats {
@@ -132,8 +124,6 @@ impl Stats {
             shed_rejected: self.shed_rejected.sum(),
             shed_evicted: self.shed_evicted.sum(),
             producer_waits: self.producer_waits.sum(),
-            slab_hits: 0,
-            slab_grows: 0,
         }
     }
 }
@@ -163,8 +153,6 @@ impl StatsSnapshot {
             shed_rejected,
             shed_evicted,
             producer_waits,
-            slab_hits,
-            slab_grows,
         } = *other;
         self.inserts += inserts;
         self.insert_retries += insert_retries;
@@ -185,8 +173,6 @@ impl StatsSnapshot {
         self.shed_rejected += shed_rejected;
         self.shed_evicted += shed_evicted;
         self.producer_waits += producer_waits;
-        self.slab_hits += slab_hits;
-        self.slab_grows += slab_grows;
     }
 
     /// Total elements shed at capacity, whatever the mechanism.
@@ -228,8 +214,6 @@ impl StatsSnapshot {
         s.push_counter("queue.shed.rejected", self.shed_rejected);
         s.push_counter("queue.shed.evicted", self.shed_evicted);
         s.push_counter("queue.shed.producer_waits", self.producer_waits);
-        s.push_counter("alloc.slab_hits", self.slab_hits);
-        s.push_counter("alloc.slab_grows", self.slab_grows);
         if self.inserts + self.shed_rejected > 0 {
             // Shed ratio over *offered* load: sheds / (admitted + refused).
             // Evicted elements were admitted first, so the denominator is

@@ -56,14 +56,6 @@ impl<V, S: NodeSet<V>, L: RawTryLock> TNode<V, S, L> {
         }
     }
 
-    /// Attach this node's set to the queue-wide arena. Safe (no lock
-    /// needed) because `&mut self` proves exclusive ownership — called
-    /// only while a freshly allocated level is still private to the
-    /// growing thread.
-    pub fn attach_arena(&mut self, arena: &S::Arena) {
-        self.set.get_mut().attach(arena);
-    }
-
     // ---- lock ----
 
     #[inline]

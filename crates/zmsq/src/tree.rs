@@ -33,9 +33,8 @@ pub(crate) struct Tree<V, S, L> {
 }
 
 impl<V: Send, S: NodeSet<V>, L: RawTryLock> Tree<V, S, L> {
-    /// Create a tree with levels `0..=initial_leaf` allocated, each
-    /// node's set attached to `arena`.
-    pub fn new(initial_leaf: usize, arena: &S::Arena) -> Self {
+    /// Create a tree with levels `0..=initial_leaf` allocated.
+    pub fn new(initial_leaf: usize) -> Self {
         assert!(initial_leaf < MAX_LEVELS);
         let tree = Self {
             levels: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
@@ -43,20 +42,15 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Tree<V, S, L> {
             grow_lock: TatasLock::default(),
         };
         for level in 0..=initial_leaf {
-            tree.levels[level].store(Self::alloc_level(level, arena), Ordering::Relaxed);
+            tree.levels[level].store(Self::alloc_level(level), Ordering::Relaxed);
         }
         tree
     }
 
-    fn alloc_level(level: usize, arena: &S::Arena) -> *mut TNode<V, S, L> {
+    fn alloc_level(level: usize) -> *mut TNode<V, S, L> {
         let n = 1usize << level;
         let mut nodes: Vec<TNode<V, S, L>> = Vec::with_capacity(n);
         nodes.resize_with(n, TNode::new);
-        // Sets are attached while the level is still exclusively owned,
-        // before any node becomes reachable.
-        for node in &mut nodes {
-            node.attach_arena(arena);
-        }
         // Box<[T]> -> thin pointer to the first element; the length (2^level)
         // is implicit in the level index and restored in Drop.
         Box::into_raw(nodes.into_boxed_slice()).cast()
@@ -112,7 +106,7 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Tree<V, S, L> {
     /// Returns the (possibly already larger) new leaf level. Saturates at
     /// [`MAX_LEVELS`]`- 1` — callers must tolerate no progress (sets then
     /// simply exceed their target size; a quality loss, not an error).
-    pub fn grow(&self, observed_leaf: usize, arena: &S::Arena) -> usize {
+    pub fn grow(&self, observed_leaf: usize) -> usize {
         let _g = self.grow_lock.guard();
         let cur = self.leaf_level.load(Ordering::Relaxed);
         if cur != observed_leaf {
@@ -123,7 +117,7 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Tree<V, S, L> {
             return cur; // saturated: 2^25 leaves already allocated
         }
         // Publish the array before the new leaf level becomes visible.
-        self.levels[next].store(Self::alloc_level(next, arena), Ordering::Release);
+        self.levels[next].store(Self::alloc_level(next), Ordering::Release);
         self.leaf_level.store(next, Ordering::Release);
         next
     }
@@ -172,7 +166,7 @@ mod tests {
 
     #[test]
     fn initial_levels_allocated() {
-        let t = T::new(3, &());
+        let t = T::new(3);
         assert_eq!(t.leaf_level(), 3);
         for level in 0..=3 {
             for slot in 0..(1usize << level) {
@@ -183,23 +177,23 @@ mod tests {
 
     #[test]
     fn grow_adds_one_level() {
-        let t = T::new(2, &());
-        assert_eq!(t.grow(2, &()), 3);
+        let t = T::new(2);
+        assert_eq!(t.grow(2), 3);
         assert_eq!(t.leaf_level(), 3);
         assert_eq!(t.node((3, 7)).count(), 0);
         // Stale observation is a no-op.
-        assert_eq!(t.grow(2, &()), 3);
+        assert_eq!(t.grow(2), 3);
         assert_eq!(t.leaf_level(), 3);
     }
 
     #[test]
     fn concurrent_grow_settles_on_one_level() {
         use std::sync::Arc;
-        let t = Arc::new(T::new(2, &()));
+        let t = Arc::new(T::new(2));
         let mut handles = Vec::new();
         for _ in 0..8 {
             let t = Arc::clone(&t);
-            handles.push(std::thread::spawn(move || t.grow(2, &())));
+            handles.push(std::thread::spawn(move || t.grow(2)));
         }
         for h in handles {
             assert_eq!(h.join().unwrap(), 3);
@@ -234,7 +228,7 @@ mod tests {
         }
         let live = Arc::new(AtomicU64::new(0));
         {
-            let t: Tree<D, ListSet<D>, TatasLock> = Tree::new(2, &());
+            let t: Tree<D, ListSet<D>, TatasLock> = Tree::new(2);
             let node = t.node((1, 0));
             node.lock();
             // SAFETY: lock held.
@@ -251,7 +245,7 @@ mod tests {
 
     #[test]
     fn for_each_visits_all() {
-        let t = T::new(3, &());
+        let t = T::new(3);
         let mut n = 0;
         t.for_each_allocated(|_, _| n += 1);
         assert_eq!(n, 1 + 2 + 4 + 8);

@@ -1,9 +1,9 @@
-//! Crate-level concurrency tests for ZMSQ: deep tree growth, thread
-//! oversubscription, and configuration extremes.
+//! Crate-level tests for ZMSQ: deep tree growth, thread
+//! oversubscription, configuration extremes, and bounded admission.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use zmsq::{Zmsq, ZmsqConfig};
+use zmsq::{ShedPolicy, Zmsq, ZmsqConfig};
 
 /// Tiny target_len + many elements forces the tree through repeated
 /// expansions (several levels past the initial depth) while concurrent
@@ -140,7 +140,8 @@ fn repeated_drain_cycles() {
 }
 
 /// Values with destructors and non-Copy payloads work through every path
-/// (pool transfer, set swaps, splits).
+/// (pool transfer, set swaps, splits), and a queue dropped while holding
+/// elements in its sets and pool drops them.
 #[test]
 fn string_payloads() {
     let q: Zmsq<String> = Zmsq::with_config(ZmsqConfig::default().batch(4).target_len(6));
@@ -162,4 +163,46 @@ fn string_payloads() {
     while let Some((_, v)) = q.extract_max() {
         assert!(v.starts_with("value-"));
     }
+    for i in 0..200u64 {
+        q.insert(i, format!("payload-{i}"));
+    }
+    let (p, v) = q.extract_max().unwrap();
+    assert_eq!(v, format!("payload-{p}"));
+    drop(q);
+}
+
+/// A bounded queue under `Reject` admits exactly its capacity, drains to
+/// exactly empty, and stays usable afterwards.
+#[test]
+fn bounded_drains_to_exactly_empty() {
+    const CAP: usize = 256;
+    let q: Zmsq<u64> = Zmsq::with_config(
+        ZmsqConfig::default()
+            .capacity(CAP)
+            .shed_policy(ShedPolicy::Reject),
+    );
+    let admitted = (0..CAP as u64 * 2)
+        .filter(|&i| q.try_insert(i, i).is_ok())
+        .count();
+    assert_eq!(admitted, CAP, "Reject admits exactly capacity");
+    let mut drained = 0;
+    while q.extract_max().is_some() {
+        drained += 1;
+    }
+    assert_eq!(drained, admitted, "every admitted element extracts");
+    assert!(q.extract_max().is_none());
+    assert_eq!(q.len_hint(), 0);
+    q.insert(7, 7);
+    assert_eq!(q.extract_max(), Some((7, 7)));
+}
+
+/// `capacity()` surfaces through the trait for bounded queues and stays
+/// `None` for unbounded ones.
+#[test]
+fn capacity_reported_through_trait() {
+    use pq_traits::ConcurrentPriorityQueue;
+    let bounded: Zmsq<u64> = Zmsq::bounded(128);
+    assert_eq!(ConcurrentPriorityQueue::capacity(&bounded), Some(128));
+    let unbounded: Zmsq<u64> = Zmsq::new();
+    assert_eq!(ConcurrentPriorityQueue::capacity(&unbounded), None);
 }

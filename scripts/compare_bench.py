@@ -17,7 +17,7 @@ exits nonzero when the new run regresses:
   better; fail when the new value rises more than ``--p50-tolerance``
   percent (default 10) above baseline. The median is stable enough to
   gate on (unlike the tails) and is where an allocation slipped back
-  onto the hot path shows first — the slab arm exists to keep it flat.
+  onto the hot path shows first.
 * **other latency keys** (name ends with ``_ns``): warn-only. Latency
   tails on shared CI runners are too noisy to gate on; the trend is
   still printed for the human reading the log.

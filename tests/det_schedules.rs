@@ -913,129 +913,3 @@ fn det_mutation_skipped_consumer_wait_is_caught() {
     // proves the report machinery works end to end.
     eprintln!("mutation caught:\n{failure}");
 }
-
-/// The slab free-list's ABA window under exhaustive interleaving: the
-/// `slab.free-pop` det point sits exactly between a popper reading
-/// `slot.next` and its head CAS — the classic Treiber window where, on a
-/// plain (untagged) head, a concurrent pop/free/realloc cycle would make
-/// the stale CAS succeed and thread the list through a live slot. The
-/// tagged head must instead fail that CAS, so across every explored
-/// schedule each allocated index is held by exactly one owner and the
-/// conservation counters balance.
-#[test]
-fn det_slab_free_pop_aba_exclusive_ownership() {
-    use std::collections::HashSet;
-    use std::sync::Mutex;
-    use zmsq::Slab;
-
-    let cfg = Config::from_env(0x51AB_ABA).schedules(16);
-    det::explore(&cfg, || {
-        const THREADS: u64 = 3;
-        const ROUNDS: u64 = 4;
-        let slab: Arc<Slab<u64>> = Arc::new(Slab::new());
-        // Seed the recycler: allocate then free a few slots so the ready
-        // list is non-trivial and every thread's alloc goes through the
-        // contended pop path rather than bump allocation.
-        let seeded: Vec<u32> = (0..4).map(|i| slab.alloc(i, i)).collect();
-        for idx in seeded {
-            slab.free(idx);
-        }
-        let held: Arc<Mutex<HashSet<u32>>> = Arc::new(Mutex::new(HashSet::new()));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let (slab, held) = (Arc::clone(&slab), Arc::clone(&held));
-                det::spawn(move || {
-                    for i in 0..ROUNDS {
-                        let tok = token(t, i);
-                        let idx = slab.alloc(tok, tok);
-                        // Exclusive ownership: if the ABA race handed the
-                        // same index to two threads, this insert fails.
-                        assert!(
-                            held.lock().unwrap().insert(idx),
-                            "slot {idx} handed to two owners"
-                        );
-                        // The slot must still carry OUR value when we give
-                        // it back (a double-owner would have overwritten it).
-                        let (prio, val) = slab.take(idx);
-                        assert_eq!((prio, val), (tok, tok), "slot {idx} torn");
-                        held.lock().unwrap().remove(&idx);
-                        slab.free(idx);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join();
-        }
-        let s = slab.stats();
-        assert_eq!(s.allocs, s.frees, "every alloc returned");
-        assert_eq!(s.live, 0, "no slot leaked across the explored schedule");
-        assert!(held.lock().unwrap().is_empty());
-    });
-}
-
-/// Free-pop racing *retirement*: one thread churns alloc/free (pushing
-/// retired slots through quarantine), another holds an EBR pin across
-/// part of the schedule. On every interleaving a slot freed while the
-/// reader is pinned must not be handed out until the pin drops —
-/// recycling a slot a pinned reader may still traverse is exactly the
-/// use-after-free the epoch stamp exists to prevent.
-#[test]
-fn det_slab_quarantine_respects_pins() {
-    use zmsq::Slab;
-
-    let cfg = Config::from_env(0x51AB_E6).schedules(16);
-    det::explore(&cfg, || {
-        let slab: Arc<Slab<u64>> = Arc::new(Slab::new());
-        let idx = slab.alloc(7, 7);
-        let (_, v) = slab.take(idx);
-        assert_eq!(v, 7);
-        let pinned = Arc::new(AtomicU64::new(0));
-        let released = Arc::new(AtomicU64::new(0));
-        let reader = {
-            let (pinned, released) = (Arc::clone(&pinned), Arc::clone(&released));
-            det::spawn(move || {
-                let guard = smr::ebr::pin();
-                pinned.store(1, Ordering::SeqCst);
-                det::det_point!("test.pinned-window");
-                drop(guard);
-                released.store(1, Ordering::SeqCst);
-            })
-        };
-        let writer = {
-            let (slab, pinned, released) = (
-                Arc::clone(&slab),
-                Arc::clone(&pinned),
-                Arc::clone(&released),
-            );
-            det::spawn(move || {
-                // Only a pin taken *before* retirement constrains the
-                // recycler; wait for the reader's pin to be live so the
-                // free below is what the epoch stamp must fence.
-                while pinned.load(Ordering::SeqCst) == 0 {
-                    det::det_point!("test.await-pin");
-                }
-                slab.free(idx);
-                // Drive allocs until the freed slot comes back; it may
-                // only do so after the reader's pin is gone.
-                let mut fresh = Vec::new();
-                for i in 0..64u64 {
-                    let got = slab.alloc(i, i);
-                    if got == idx {
-                        assert_eq!(
-                            released.load(Ordering::SeqCst),
-                            1,
-                            "slot recycled while a pre-retirement pin was live"
-                        );
-                        return;
-                    }
-                    fresh.push(got);
-                }
-                // Pin still live for the whole schedule: the slot staying
-                // quarantined is the correct outcome too.
-            })
-        };
-        reader.join();
-        writer.join();
-    });
-}
