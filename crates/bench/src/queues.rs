@@ -111,10 +111,9 @@ pub fn make_tuned_queue<V: Send + 'static>(
             default.batch(16).adaptive_batch(4, 64),
             tuning,
         )),
-        "multiqueue" => Box::new(
-            MultiQueue::<V>::with_tuning(threads, 2, stickiness, insert_buffer, delete_buffer)
-                .rank_estimator(6),
-        ),
+        "multiqueue" => {
+            Box::new(MultiQueue::<V>::with_tuning(threads, 2, tuning).rank_estimator(6))
+        }
         other => panic!("unknown tunable base {other:?}"),
     }
 }

@@ -31,6 +31,12 @@
 //! fault::reset();
 //! ```
 //!
+//! The registry is process-global. A test that cannot hold
+//! `exclusive()` against every other test in its process — unit tests
+//! that insert into a queue while a neighbour has armed a panic there —
+//! scopes its arming with `Policy::on_this_thread()`, so evaluations on
+//! other threads neither fire the point nor count as hits.
+//!
 //! The two macro forms:
 //!
 //! * `fail_point!("name")` — the effect is the armed `Action` alone

@@ -11,6 +11,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::thread::ThreadId;
 
 use crate::rng::DetRng;
 
@@ -43,13 +44,18 @@ pub enum Action {
     Panic(&'static str),
 }
 
-/// A complete failpoint arming: when × what.
+/// A complete failpoint arming: when × what, and optionally on which
+/// thread.
 #[derive(Clone, Debug)]
 pub struct Policy {
     /// Firing schedule.
     pub trigger: Trigger,
     /// Effect on fire.
     pub action: Action,
+    /// When set, only this thread's evaluations are in scope: other
+    /// threads pass the point as if it were unarmed and are not counted
+    /// by [`hit_count`].
+    pub thread: Option<ThreadId>,
 }
 
 impl Policy {
@@ -58,12 +64,23 @@ impl Policy {
         Self {
             trigger,
             action: Action::Nothing,
+            thread: None,
         }
     }
 
     /// Attach an action.
     pub fn with_action(mut self, action: Action) -> Self {
         self.action = action;
+        self
+    }
+
+    /// Scope the point to the calling thread. The registry is
+    /// process-global, so a test that arms a point while unrelated
+    /// tests run concurrently in the same process (cargo's default test
+    /// threads) uses this to keep their evaluations from firing it or
+    /// moving its counters.
+    pub fn on_this_thread(mut self) -> Self {
+        self.thread = Some(std::thread::current().id());
         self
     }
 }
@@ -165,6 +182,13 @@ pub fn fire(name: &'static str) -> bool {
             None => return false,
         }
     };
+    if point
+        .policy
+        .thread
+        .is_some_and(|t| t != std::thread::current().id())
+    {
+        return false;
+    }
     let hit = point.hits.fetch_add(1, Ordering::Relaxed) + 1;
     let fired = match point.policy.trigger {
         Trigger::Always => true,
@@ -215,7 +239,8 @@ fn with_thread_rng<R>(f: impl FnOnce(&mut DetRng) -> R) -> R {
 }
 
 /// Number of times the named point has been *evaluated* (not fired)
-/// since it was armed. Useful for asserting a failpoint is actually on
+/// since it was armed — by its thread only, for a point armed
+/// [`on_this_thread`](Policy::on_this_thread). Useful for asserting a failpoint is actually on
 /// the exercised path.
 pub fn hit_count(name: &str) -> u64 {
     let r = registry();
@@ -272,6 +297,24 @@ mod tests {
         // Same seed twice on the same thread: identical schedule.
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
+    }
+
+    #[test]
+    fn thread_scoped_point_ignores_other_threads() {
+        let _g = exclusive();
+        set_seed(1);
+        configure(
+            "registry-test.scoped",
+            Policy::new(Trigger::Once).on_this_thread(),
+        );
+        let other = std::thread::spawn(|| fire("registry-test.scoped"))
+            .join()
+            .unwrap();
+        assert!(!other, "another thread fired a thread-scoped point");
+        assert_eq!(hit_count("registry-test.scoped"), 0, "foreign hit counted");
+        assert!(fire("registry-test.scoped"), "Once must still be unspent");
+        assert_eq!(hit_count("registry-test.scoped"), 1);
+        reset();
     }
 
     #[test]

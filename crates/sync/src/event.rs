@@ -628,6 +628,10 @@ mod tests {
 
     #[test]
     fn sweep_finds_waiter_on_distant_slot() {
+        // A `futex.spurious-wake` armed concurrently by another test lets
+        // the waiter return before it is ever seen parked.
+        #[cfg(feature = "fault-inject")]
+        let _x = fault::exclusive();
         // Directly exercise wake_one_from: a waiter parks on some slot; a
         // signal starting from every other slot must still find it.
         let ev = Arc::new(EventBuffer::with_slots(8));
@@ -661,6 +665,10 @@ mod tests {
     /// residue slots read zero and the sweep must reach the parked waiter.
     #[test]
     fn early_exit_residue_cannot_eat_a_scarce_signal() {
+        // A `futex.spurious-wake` armed concurrently by another test lets
+        // the waiter return before it is ever seen parked.
+        #[cfg(feature = "fault-inject")]
+        let _x = fault::exclusive();
         let ev = Arc::new(EventBuffer::with_slots(8));
         // Sleep tickets 0 and 1 → slots 0 and 1: Ready exits (predicate
         // true at the post-registration re-check).

@@ -390,7 +390,7 @@ mod tests {
         fault::set_seed(11);
         fault::configure(
             "futex.spurious-wake",
-            fault::Policy::new(fault::Trigger::Always),
+            fault::Policy::new(fault::Trigger::Always).on_this_thread(),
         );
         let atom = AtomicU32::new(0);
         let t0 = std::time::Instant::now();

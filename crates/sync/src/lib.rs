@@ -22,6 +22,9 @@
 //! * [`slotvec`] — an append-only concurrent slot vector with stable
 //!   references, the registry behind every thread-local-component queue
 //!   (k-LSM locals, sticky/buffered operation buffers).
+//! * [`relax`] — stickiness and per-thread operation buffers, the
+//!   relaxation layer shared by `ShardedZmsq` and the MultiQueue
+//!   baseline, generic over a queue's [`relax::Shards`].
 //!
 //! With `--features fault-inject` the substrate compiles in named
 //! failpoints (`trylock.spurious-fail`, `futex.spurious-wake`,
@@ -42,6 +45,7 @@ pub mod futex;
 pub mod obs;
 pub mod pad;
 pub mod producer;
+pub mod relax;
 pub mod site;
 pub mod slotvec;
 pub mod trylock;

@@ -295,6 +295,10 @@ mod tests {
     /// the `InsertError::Closed` surface).
     #[test]
     fn close_wakes_parked_producers() {
+        // A `futex.spurious-wake` armed concurrently by another test lets
+        // the producers return before it is ever seen parked.
+        #[cfg(feature = "fault-inject")]
+        let _x = fault::exclusive();
         let pw = Arc::new(ProducerWait::with_slots(1));
         let mut handles = Vec::new();
         for _ in 0..3 {

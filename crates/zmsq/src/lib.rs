@@ -83,12 +83,15 @@ mod tree;
 pub use config::{LockStrategy, QualityOpts, Reclamation, ShedPolicy, ZmsqConfig};
 pub use queue::{SetSizeStats, Zmsq};
 pub use set::{ArraySet, DequeSet, ListSet, NodeSet};
-pub use sharded::{ShardedConfig, ShardedZmsq};
+pub use sharded::ShardedZmsq;
 pub use stats::StatsSnapshot;
 
 // Re-exported so bounded-queue callers can match the fallible-insert
 // error without depending on `pq-traits` directly.
 pub use pq_traits::InsertError;
+
+// The relaxation layer's tuning, shared with the MultiQueue baseline.
+pub use zmsq_sync::relax::ShardedConfig;
 
 // Re-exported so callers can name lock type parameters.
 pub use zmsq_sync::{OsLock, RawTryLock, TasLock, TatasLock};

@@ -2364,9 +2364,13 @@ mod tests {
         for i in 0..100u64 {
             q.insert(i, i);
         }
+        // Thread-scoped: concurrent unit tests insert too, and must
+        // neither spend the `Once` nor count as hits.
         fault::configure(
             "queue.insert.locked-panic",
-            fault::Policy::new(fault::Trigger::Once).with_action(fault::Action::Panic("injected")),
+            fault::Policy::new(fault::Trigger::Once)
+                .with_action(fault::Action::Panic("injected"))
+                .on_this_thread(),
         );
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             q.insert(1000, 1000);
@@ -2400,7 +2404,9 @@ mod tests {
         }
         fault::configure(
             "queue.extract.locked-panic",
-            fault::Policy::new(fault::Trigger::Once).with_action(fault::Action::Panic("injected")),
+            fault::Policy::new(fault::Trigger::Once)
+                .with_action(fault::Action::Panic("injected"))
+                .on_this_thread(),
         );
         let mut panicked = 0u32;
         let mut drained = 0u64;
@@ -2433,7 +2439,7 @@ mod tests {
         fault::set_seed(0x713E_0417);
         fault::configure(
             "futex.spurious-wake",
-            fault::Policy::new(fault::Trigger::Always),
+            fault::Policy::new(fault::Trigger::Always).on_this_thread(),
         );
         let q = Q::with_config(ZmsqConfig::default().blocking(true));
         let timeout = std::time::Duration::from_millis(50);

@@ -45,177 +45,15 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Weak};
 
 use pq_traits::InsertError;
-use zmsq_sync::{RawTryLock, SlotVec, TatasLock};
+use zmsq_sync::relax::{Relax, ShardedConfig, Shards};
+use zmsq_sync::{RawTryLock, TatasLock};
 
 use crate::config::ZmsqConfig;
 use crate::queue::Zmsq;
 use crate::set::{DequeSet, NodeSet};
 use crate::StatsSnapshot;
-
-/// Tuning knobs for the MultiQueue-grade fast path: *stickiness* (a
-/// thread reuses its sampled shard for `c` consecutive operations) and
-/// per-thread *operation buffers* (inserts and prefetched deletions are
-/// staged thread-locally and moved in batches), per "Engineering
-/// MultiQueues" (Williams & Sanders). Both default to off, which keeps
-/// the legacy home-affine / two-choice-per-op behaviour byte-identical.
-///
-/// Accuracy composes: stickiness `c` and a delete buffer of depth
-/// `k_del` add (at most) a `(S − 1) · c · k_del` deterministic term on
-/// top of the per-shard top-`k` window — each of the other `S − 1`
-/// threads' sticky runs can route up to `c` refills of `k_del` elements
-/// past a higher-priority element. See DESIGN.md "Stickiness &
-/// operation buffers" for the composed bound and the flush triggers.
-///
-/// Buffers are *invisible* to the capacity/shedding machinery, so the
-/// fast path disarms itself when [`ZmsqConfig::capacity`] is set: a
-/// bounded queue always runs the legacy admission path.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardedConfig {
-    stickiness: usize,
-    insert_buffer: usize,
-    delete_buffer: usize,
-}
-
-impl ShardedConfig {
-    /// All knobs off (legacy behaviour).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Reuse the sampled shard for `c` consecutive operations before
-    /// re-sampling. `0` keeps the legacy policy (home-affine inserts,
-    /// fresh two-choice pick per extraction); `1` re-samples a random
-    /// shard every operation (the classic MultiQueue), larger values
-    /// amortize the pick and improve locality at a bounded rank cost.
-    pub fn stickiness(mut self, c: usize) -> Self {
-        self.stickiness = c;
-        self
-    }
-
-    /// Stage up to `k` inserts thread-locally before publishing them to
-    /// the sticky shard in one batch. `0`/`1` disable staging.
-    pub fn insert_buffer(mut self, k: usize) -> Self {
-        self.insert_buffer = k;
-        self
-    }
-
-    /// Prefetch up to `k` elements from the sticky shard per refill and
-    /// serve extractions from the thread-local buffer. `0`/`1` disable
-    /// prefetching.
-    pub fn delete_buffer(mut self, k: usize) -> Self {
-        self.delete_buffer = k;
-        self
-    }
-
-    /// Configured stickiness run length.
-    pub fn stickiness_len(&self) -> usize {
-        self.stickiness
-    }
-
-    /// Configured insert-buffer depth.
-    pub fn insert_buffer_depth(&self) -> usize {
-        self.insert_buffer
-    }
-
-    /// Configured delete-buffer depth.
-    pub fn delete_buffer_depth(&self) -> usize {
-        self.delete_buffer
-    }
-
-    /// Whether any knob departs from the legacy behaviour.
-    pub fn is_tuned(&self) -> bool {
-        self.stickiness >= 1 || self.insert_buffer > 1 || self.delete_buffer > 1
-    }
-}
-
-/// Per-`(thread, instance)` operation buffer, owned by the queue (in a
-/// [`SlotVec`]) so `close()`/`flush()`/empty-reporting can reach every
-/// thread's staged elements without that thread's cooperation — the
-/// k-LSM thread-local-spill model.
-struct OpBuf<V> {
-    /// Staged inserts bound for `ins_shard`.
-    ins: Vec<(u64, V)>,
-    /// Prefetched extractions, sorted ascending by priority (pop from
-    /// the end yields the buffer's max).
-    del: Vec<(u64, V)>,
-    /// Sticky insert target and operations left in the current run.
-    ins_shard: usize,
-    ins_left: usize,
-    /// Sticky extract source and operations left in the current run.
-    del_shard: usize,
-    del_left: usize,
-}
-
-impl<V> Default for OpBuf<V> {
-    fn default() -> Self {
-        Self {
-            ins: Vec::new(),
-            del: Vec::new(),
-            ins_shard: 0,
-            ins_left: 0,
-            del_shard: 0,
-            del_left: 0,
-        }
-    }
-}
-
-/// One registered `(thread, instance)` buffer slot. The owner tag lets
-/// a thread whose cache entry was evicted find and reuse its old slot —
-/// see [`ShardedZmsq::buf_slot`]. `owner` is [`FREE_SLOT`] while the
-/// slot sits on the registry's free list awaiting a new registrant;
-/// transitions to `FREE_SLOT` happen only under the slot's `buf` mutex
-/// (see [`SlotTryFree::try_free`]), which is what makes the users' lock-
-/// then-revalidate protocol race-free.
-struct BufSlot<V> {
-    owner: AtomicU64,
-    buf: Mutex<OpBuf<V>>,
-}
-
-/// `owner` value of an unowned slot. [`zmsq_sync::thread_tag`] starts
-/// at 1, so 0 never collides with a real thread.
-const FREE_SLOT: u64 = 0;
-
-/// Type-erased hook for returning an evicted buffer slot to its
-/// registry. The per-thread slot cache ([`BUF_SLOTS`]) is shared across
-/// every monomorphization of [`ShardedZmsq`], so eviction can only reach
-/// the owning registry through a `dyn` handle; a dead `Weak` (instance
-/// already dropped) makes the eviction a no-op.
-trait SlotTryFree: Send + Sync {
-    /// Release `slot` to the free list iff both its buffers are empty
-    /// and it is still owned by `owner`. Returns whether it was freed.
-    /// A slot with staged elements is left owned — this hook has no
-    /// shard access to flush into, and the owner can still rediscover
-    /// the slot by tag scan on its next registration.
-    fn try_free(&self, slot: usize, owner: u64) -> bool;
-}
-
-impl<V: Send + 'static> SlotTryFree for SlotVec<BufSlot<V>> {
-    fn try_free(&self, slot: usize, owner: u64) -> bool {
-        if slot >= self.len() {
-            return false;
-        }
-        let s = self.get(slot);
-        let b = lock_buf(&s.buf);
-        if !b.ins.is_empty() || !b.del.is_empty() {
-            return false;
-        }
-        // Ownership change under the buf mutex: a user that locked the
-        // slot before us re-validates `owner` after its lock and backs
-        // off when it lost this race.
-        if s.owner
-            .compare_exchange(owner, FREE_SLOT, Ordering::AcqRel, Ordering::Relaxed)
-            .is_err()
-        {
-            return false;
-        }
-        drop(b);
-        self.release(slot);
-        true
-    }
-}
 
 /// Source of unique instance ids. A module-level (non-generic) static:
 /// ids are process-unique across every monomorphization, which is what
@@ -231,49 +69,6 @@ static INSTANCE_IDS: AtomicU64 = AtomicU64::new(1);
 const HOME_CACHE_CAP: usize = 64;
 thread_local! {
     static HOMES: RefCell<Vec<(u64, usize)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// One entry of the per-thread buffer-slot cache: which slot of which
-/// instance's registry this thread owns, plus the type-erased handle
-/// eviction uses to give the slot back.
-struct CachedBufSlot {
-    instance: u64,
-    slot: usize,
-    registry: Weak<dyn SlotTryFree>,
-}
-
-thread_local! {
-    /// Per-thread cache of instance → buffer-slot assignments, mirror
-    /// of [`HOMES`]. Evicting an entry returns its (empty) slot to the
-    /// registry's free list via [`SlotTryFree`], so a thread cycling
-    /// through many live instances no longer strands one dead slot per
-    /// instance for `flush_all` to scan forever; a slot with staged
-    /// elements stays owned by the queue's [`SlotVec`], where
-    /// `flush()`/`close()`/empty-reporting recover it and the evicted
-    /// thread rediscovers it by owner tag on its next operation.
-    static BUF_SLOTS: RefCell<Vec<CachedBufSlot>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Acquire a buffer-slot lock without OS-blocking: the critical sections
-/// include shard operations with det yield points, so under a det
-/// schedule the holder may be a parked vthread that can only run again
-/// if this thread yields — a blocking `lock()` would deadlock the
-/// scheduler's token gate. Outside det the loop is a plain spin;
-/// contention is rare (a thread meets a foreign slot only through
-/// `flush_all` or slot reaping). A poisoned slot (injected panic
-/// mid-flush) is taken over rather than propagated: the buffer's
-/// contents are still valid, only the in-flight element was lost.
-fn lock_buf<V>(m: &Mutex<OpBuf<V>>) -> std::sync::MutexGuard<'_, OpBuf<V>> {
-    loop {
-        match m.try_lock() {
-            Ok(g) => return g,
-            Err(std::sync::TryLockError::Poisoned(p)) => return p.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                det::det_point!("shard.buf-wait");
-                std::hint::spin_loop();
-            }
-        }
-    }
 }
 
 /// How many successful extractions a shard serves between two runs of
@@ -323,10 +118,12 @@ struct ShardAdapt {
     last_contention: AtomicU64,
 }
 
-/// A fixed set of ZMSQ shards with thread-affine insertion, two-distinct-
-/// choice extraction, bounded work-stealing, and (optionally) an adaptive
-/// per-shard refill batch. See the module docs.
-pub struct ShardedZmsq<V, S = DequeSet<V>, L = TatasLock>
+/// The shards and everything the direct (unbuffered) paths need: home
+/// assignments, the two-choice / steal / sweep extraction and the batch
+/// controller. Supplies the relaxation layer's per-shard operations
+/// ([`Shards`]); a type of its own so those per-shard `insert` /
+/// `extract_batch` methods never sit beside the queue's public ones.
+struct ZmsqShards<V, S, L>
 where
     V: Send,
     S: NodeSet<V>,
@@ -343,25 +140,20 @@ where
     /// Controller moves, for observability (`zmsq.batch.widens/narrows`).
     widens: AtomicU64,
     narrows: AtomicU64,
-    /// Stickiness / operation-buffer tuning (all-zero = legacy paths).
-    tuning: ShardedConfig,
-    /// Whether the insert / extract fast paths are armed (tuned AND
-    /// unbounded — buffers are invisible to capacity accounting).
-    fast_ins: bool,
-    fast_del: bool,
-    /// One operation buffer per registered `(thread, instance)` pair.
-    /// `Arc` so evicted cache entries can hold a [`Weak`] back-reference
-    /// for eviction-time slot freeing without keeping a dropped
-    /// instance's registry alive.
-    bufs: Arc<SlotVec<BufSlot<V>>>,
-    /// Elements currently staged in insert / delete buffers (folded into
-    /// `len_hint` and exported as `buf.pending_*` gauges).
-    pending_ins: AtomicUsize,
-    pending_del: AtomicUsize,
-    /// Fast-path activity counters (`buf.insert_flushes`,
-    /// `buf.delete_refills`).
-    insert_flushes: AtomicU64,
-    delete_refills: AtomicU64,
+}
+
+/// A fixed set of ZMSQ shards with thread-affine insertion, two-distinct-
+/// choice extraction, bounded work-stealing, and (optionally) an adaptive
+/// per-shard refill batch. See the module docs.
+pub struct ShardedZmsq<V, S = DequeSet<V>, L = TatasLock>
+where
+    V: Send,
+    S: NodeSet<V>,
+    L: RawTryLock,
+{
+    core: ZmsqShards<V, S, L>,
+    /// Stickiness / operation buffers (disarmed = direct paths only).
+    relax: Relax<V>,
 }
 
 impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> ShardedZmsq<V, S, L> {
@@ -394,43 +186,32 @@ impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> ShardedZmsq<V, S, L> {
         // accounting and to shed policies, so a bounded queue keeps the
         // legacy admission paths regardless of tuning.
         let unbounded = shards[0].capacity().is_none();
-        let fast_ins = unbounded && (tuning.stickiness >= 1 || tuning.insert_buffer > 1);
-        // *Any* tuning arms the extract side: even insert-only buffering
-        // stages elements the direct sweep cannot see, so extract_max /
-        // extract_batch must run the flush-before-report loop for `None`
-        // to keep meaning "no element is hiding in a buffer".
-        let fast_del = unbounded && tuning.is_tuned();
         Self {
-            shards,
-            instance_id: INSTANCE_IDS.fetch_add(1, Ordering::Relaxed),
-            next_home: AtomicUsize::new(0),
-            adapt: adaptive.then(|| (0..n).map(|_| ShardAdapt::default()).collect()),
-            widens: AtomicU64::new(0),
-            narrows: AtomicU64::new(0),
-            tuning,
-            fast_ins,
-            fast_del,
-            bufs: Arc::new(SlotVec::new()),
-            pending_ins: AtomicUsize::new(0),
-            pending_del: AtomicUsize::new(0),
-            insert_flushes: AtomicU64::new(0),
-            delete_refills: AtomicU64::new(0),
+            core: ZmsqShards {
+                shards,
+                instance_id: INSTANCE_IDS.fetch_add(1, Ordering::Relaxed),
+                next_home: AtomicUsize::new(0),
+                adapt: adaptive.then(|| (0..n).map(|_| ShardAdapt::default()).collect()),
+                widens: AtomicU64::new(0),
+                narrows: AtomicU64::new(0),
+            },
+            relax: Relax::new(tuning, unbounded),
         }
     }
 
     /// The stickiness / buffer tuning this instance runs with.
     pub fn tuning(&self) -> ShardedConfig {
-        self.tuning
+        self.relax.config()
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.core.shards.len()
     }
 
     /// Whether the adaptive batch controller is armed.
     pub fn is_adaptive(&self) -> bool {
-        self.adapt.is_some()
+        self.core.adapt.is_some()
     }
 
     /// The calling thread's home shard for **this instance**: stable per
@@ -438,6 +219,182 @@ impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> ShardedZmsq<V, S, L> {
     /// counter, so each instance's first `k` registrants cover `k`
     /// distinct shards regardless of what other instances assigned.
     pub fn home_shard(&self) -> usize {
+        self.core.home_shard()
+    }
+
+    /// Insert into the calling thread's home shard (locality; on a real
+    /// NUMA machine, pin threads so the home shard's memory is local) —
+    /// or, with a [`ShardedConfig`], into the sticky shard via the
+    /// thread-local insert buffer.
+    ///
+    /// On a capacity-bounded queue the insert first tries every shard
+    /// fallibly (home first — per-shard budgets are `capacity / shards`,
+    /// and a skewed producer set must still reach the whole budget)
+    /// before falling back to the home shard's infallible insert, which
+    /// applies the configured [`ShedPolicy`](crate::ShedPolicy) there.
+    pub fn insert(&self, prio: u64, value: V) {
+        if self.relax.routes_inserts() {
+            return self.relax.insert(&self.core, prio, value);
+        }
+        self.core.insert_direct(prio, value);
+    }
+
+    /// Fallible insert: home shard first, spilling to the other shards
+    /// when the home budget is exhausted. Returns
+    /// [`InsertError::Full`] only after *every* shard rejected.
+    #[must_use = "the rejected element is inside the error; dropping it loses work"]
+    pub fn try_insert(&self, prio: u64, value: V) -> Result<(), InsertError<V>> {
+        self.core.try_insert_spill(self.home_shard(), prio, value)
+    }
+
+    /// [`try_insert`](Self::try_insert) that, after a full spill pass,
+    /// parks on the *home* shard (under
+    /// [`ShedPolicy::Block`](crate::ShedPolicy::Block)) up to `timeout`.
+    #[must_use = "the rejected element is inside the error; dropping it loses work"]
+    pub fn insert_timeout(
+        &self,
+        prio: u64,
+        value: V,
+        timeout: std::time::Duration,
+    ) -> Result<(), InsertError<V>> {
+        let home = self.home_shard();
+        match self.core.try_insert_spill(home, prio, value) {
+            Ok(()) => Ok(()),
+            Err(InsertError::Full(v)) => self.core.shards[home].insert_timeout(prio, v, timeout),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Bulk insertion: scatter `items` round-robin across the shards,
+    /// starting at the home shard, then bulk-insert each shard's share.
+    /// Round-robin (rather than contiguous chunks of the sorted input)
+    /// keeps every shard's priority distribution balanced, which is what
+    /// the two-choice extraction side assumes.
+    pub fn insert_batch(&self, items: &mut Vec<(u64, V)>) {
+        let shards = &self.core.shards;
+        let n = shards.len();
+        if n == 1 || items.len() <= 1 {
+            shards[self.home_shard()].insert_batch(items);
+            return;
+        }
+        let mask = n - 1;
+        let home = self.home_shard();
+        let mut per: Vec<Vec<(u64, V)>> = (0..n)
+            .map(|_| Vec::with_capacity(items.len() / n + 1))
+            .collect();
+        for (i, item) in items.drain(..).enumerate() {
+            per[(home + i) & mask].push(item);
+        }
+        for (s, mut chunk) in per.into_iter().enumerate() {
+            if !chunk.is_empty() {
+                shards[s].insert_batch(&mut chunk);
+            }
+        }
+    }
+
+    /// Extract from the better of two distinct random shards (by
+    /// optimistic root max), stealing once from the loser if the winner's
+    /// hint was stale, and sweeping every shard before concluding empty —
+    /// or, with a [`ShardedConfig`], from the thread-local delete buffer
+    /// refilled from the sticky shard.
+    ///
+    /// The emptiness guarantee survives tuning: before returning `None`
+    /// every thread's staged operations are flushed back to the shards
+    /// and the sweep retried, so `None` still means every shard
+    /// individually reported empty *with no element hiding in a buffer*.
+    pub fn extract_max(&self) -> Option<(u64, V)> {
+        if self.relax.routes_extracts() {
+            return self.relax.extract_max(&self.core);
+        }
+        self.core.extract_direct()
+    }
+
+    /// Batched extraction: gather up to `n` elements, routing each round
+    /// through the same two-choice / steal / sweep policy as
+    /// [`extract_max`](Self::extract_max) and draining the chosen shard's
+    /// pool with single-`fetch_sub` batched claims. With a
+    /// [`ShardedConfig`], the calling thread's delete buffer is served
+    /// first and buffers are flushed before an empty report, mirroring
+    /// `extract_max`.
+    pub fn extract_batch(&self, out: &mut Vec<(u64, V)>, n: usize) -> usize {
+        if self.relax.routes_extracts() {
+            return self.relax.extract_batch(&self.core, out, n);
+        }
+        self.core.extract_batch_direct(out, n)
+    }
+
+    /// Sum of shard size hints plus elements staged in operation
+    /// buffers (staged inserts are not yet in any shard; prefetched
+    /// deletions are already out of theirs but not yet handed to a
+    /// caller — both are still *in the queue*).
+    pub fn len_hint(&self) -> usize {
+        self.core.shards.iter().map(|s| s.len_hint()).sum::<usize>() + self.relax.pending()
+    }
+
+    /// Publish every thread's staged operations (see
+    /// [`ConcurrentPriorityQueue::flush`](pq_traits::ConcurrentPriorityQueue::flush)):
+    /// staged inserts reach their sticky shards, prefetched deletions
+    /// return to theirs. The escape hatch for checkpoints and for
+    /// consumers that need cross-thread visibility *now* rather than at
+    /// the next flush trigger.
+    pub fn flush(&self) {
+        self.relax.flush_all(&self.core);
+    }
+
+    /// Access a shard directly (diagnostics, per-shard stats).
+    pub fn shard(&self, i: usize) -> &Zmsq<V, S, L> {
+        &self.core.shards[i]
+    }
+
+    /// Mean effective refill batch across shards (equals the configured
+    /// `batch` everywhere when the controller is off).
+    pub fn mean_batch(&self) -> usize {
+        let shards = &self.core.shards;
+        shards.iter().map(|s| s.current_batch()).sum::<usize>() / shards.len()
+    }
+
+    /// Total capacity across shards, if bounded. May exceed the value
+    /// passed to [`ZmsqConfig::capacity`] by up to `shards - 1`
+    /// (per-shard budgets round up).
+    pub fn capacity(&self) -> Option<usize> {
+        let shards = &self.core.shards;
+        shards[0].capacity().map(|c| c * shards.len())
+    }
+
+    /// Live elements under capacity accounting, summed over shards.
+    pub fn occupancy(&self) -> usize {
+        self.core.shards.iter().map(|s| s.occupancy()).sum()
+    }
+
+    /// Producers currently parked waiting for room, summed over shards.
+    pub fn producer_waiters(&self) -> usize {
+        self.core.shards.iter().map(|s| s.producer_waiters()).sum()
+    }
+
+    /// Close every shard: wakes all blocked consumers and producers
+    /// permanently (see [`Zmsq::close`]). Staged operations are flushed
+    /// first so no element is stranded in a thread-local buffer after
+    /// close — drain loops observe everything that was inserted.
+    ///
+    /// An insert racing `close()` may still be staged after the flush;
+    /// it is published at that thread's next flush trigger or by an
+    /// explicit [`flush`](Self::flush), the same window a linearizable
+    /// queue gives an insert that linearizes after close.
+    pub fn close(&self) {
+        self.relax.close(&self.core);
+        for s in self.core.shards.iter() {
+            s.close();
+        }
+    }
+
+    /// Whether [`close`](Self::close) has been called.
+    pub fn is_closed(&self) -> bool {
+        self.core.shards.iter().any(|s| s.is_closed())
+    }
+}
+
+impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> ZmsqShards<V, S, L> {
+    fn home_shard(&self) -> usize {
         let mask = self.shards.len() - 1;
         HOMES.with(|cache| {
             let mut cache = cache.borrow_mut();
@@ -459,7 +416,7 @@ impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> ShardedZmsq<V, S, L> {
         crate::rng::next_index(self.shards.len())
     }
 
-    /// Two *distinct* random shards. Caller guarantees `shard_count() > 1`.
+    /// Two *distinct* random shards. Caller guarantees more than one shard.
     fn pick_two(&self) -> (usize, usize) {
         let n = self.shards.len();
         debug_assert!(n > 1);
@@ -523,289 +480,6 @@ impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> ShardedZmsq<V, S, L> {
         }
     }
 
-    /// The calling thread's operation-buffer slot for this instance,
-    /// registering one on first touch. Mirrors [`home_shard`]'s cache
-    /// discipline — with two additions. On a cache miss the thread
-    /// first looks for a slot it already owns in this instance (its
-    /// cache entry may merely have been evicted), then claims a freed
-    /// slot off the registry's free list, and only then grows the
-    /// registry. On *eviction* the outgoing entry's slot is returned to
-    /// its registry's free list if its buffers are empty
-    /// ([`SlotTryFree`]), so cycling through more than
-    /// [`HOME_CACHE_CAP`] live instances neither leaks a dead slot per
-    /// instance (the pre-reclamation behaviour, which left `flush_all`
-    /// scanning them forever) nor re-registers fresh ones per return.
-    ///
-    /// The returned index is a *hint*: the close-time reaper can free
-    /// the slot concurrently, so lock-holding users go through
-    /// [`my_buf`](Self::my_buf), which re-validates ownership under the
-    /// slot lock.
-    ///
-    /// [`home_shard`]: Self::home_shard
-    fn buf_slot(&self) -> usize {
-        let me = zmsq_sync::thread_tag();
-        BUF_SLOTS.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if let Some(pos) = cache.iter().position(|e| e.instance == self.instance_id) {
-                let slot = cache[pos].slot;
-                if self.bufs.get(slot).owner.load(Ordering::Acquire) == me {
-                    return slot;
-                }
-                // Reaped out from under us (close-time): the entry is
-                // stale; drop it and re-register.
-                cache.remove(pos);
-            }
-            let slot = (0..self.bufs.len())
-                .find(|&i| self.bufs.get(i).owner.load(Ordering::Acquire) == me)
-                .or_else(|| {
-                    self.bufs.try_acquire().inspect(|&i| {
-                        // The free-list pop is an exclusive claim; the
-                        // slot was parked at FREE_SLOT.
-                        self.bufs.get(i).owner.store(me, Ordering::Release);
-                    })
-                })
-                .unwrap_or_else(|| {
-                    self.bufs.push(BufSlot {
-                        owner: AtomicU64::new(me),
-                        buf: Mutex::new(OpBuf::default()),
-                    })
-                });
-            if cache.len() >= HOME_CACHE_CAP {
-                // Evict the oldest entry, returning its slot if empty.
-                let old = cache.remove(0);
-                if let Some(reg) = old.registry.upgrade() {
-                    reg.try_free(old.slot, me);
-                }
-            }
-            cache.push(CachedBufSlot {
-                instance: self.instance_id,
-                slot,
-                registry: Arc::downgrade(&self.bufs) as Weak<dyn SlotTryFree>,
-            });
-            slot
-        })
-    }
-
-    /// Lock the calling thread's buffer slot, re-validating ownership
-    /// under the lock: the close-time reaper frees slots only while
-    /// holding the slot mutex, so an `owner == me` check made *after*
-    /// locking is authoritative. On a lost race (slot reaped, possibly
-    /// already re-owned by another thread) the stale cache entry is
-    /// dropped and registration retried.
-    fn my_buf(&self) -> std::sync::MutexGuard<'_, OpBuf<V>> {
-        let me = zmsq_sync::thread_tag();
-        loop {
-            let slot = self.bufs.get(self.buf_slot());
-            let b = lock_buf(&slot.buf);
-            if slot.owner.load(Ordering::Acquire) == me {
-                return b;
-            }
-            drop(b);
-            BUF_SLOTS.with(|c| c.borrow_mut().retain(|e| e.instance != self.instance_id));
-        }
-    }
-
-    /// Publish a buffer's staged inserts to its sticky shard. No-op when
-    /// empty. Called with the slot lock held (`b` is behind it).
-    fn flush_ins(&self, b: &mut OpBuf<V>) {
-        if b.ins.is_empty() {
-            return;
-        }
-        fault::fail_point!("shard.flush-delay");
-        let n = b.ins.len();
-        self.shards[b.ins_shard & (self.shards.len() - 1)].insert_batch(&mut b.ins);
-        // Decrement only after the shard publish: a `len_hint` racing
-        // the flush then transiently *over*counts (both sides visible)
-        // instead of reporting 0 on a non-empty queue.
-        self.pending_ins.fetch_sub(n, Ordering::Relaxed);
-        self.insert_flushes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Return a buffer's prefetched-but-unclaimed extractions to the
-    /// shard they came from, making them claimable by other threads.
-    fn unprefetch_del(&self, b: &mut OpBuf<V>) {
-        if b.del.is_empty() {
-            return;
-        }
-        fault::fail_point!("shard.flush-delay");
-        let n = b.del.len();
-        self.shards[b.del_shard & (self.shards.len() - 1)].insert_batch(&mut b.del);
-        // After the publish, for the same reason as `flush_ins`.
-        self.pending_del.fetch_sub(n, Ordering::Relaxed);
-        // The sticky run is stale once its prefetch was stolen back.
-        b.del_left = 0;
-    }
-
-    /// Publish every thread's staged operations: staged inserts go to
-    /// their sticky shards, prefetched extractions return to theirs.
-    /// Returns how many elements moved. Locks one slot at a time (never
-    /// two), so concurrent flushers cannot deadlock; the caller must not
-    /// hold a slot lock.
-    fn flush_all(&self) -> usize {
-        let mut moved = 0;
-        for slot in self.bufs.iter() {
-            let mut b = lock_buf(&slot.buf);
-            moved += b.ins.len() + b.del.len();
-            self.flush_ins(&mut b);
-            self.unprefetch_del(&mut b);
-        }
-        moved
-    }
-
-    /// Flush staged operations before `close()` tears the shards down.
-    /// The `shard.skip-close-flush` failpoint deletes exactly this step,
-    /// so the det mutation check can prove the close-flush is what keeps
-    /// buffered elements from being stranded.
-    ///
-    /// After the flush every buffer is (momentarily) empty, so the slots
-    /// themselves are reaped onto the free list — a closing instance in
-    /// a long-lived process hands its storage to whatever threads touch
-    /// it next instead of stranding one dead slot per thread. Owners
-    /// with live cache entries re-validate under the slot lock
-    /// ([`my_buf`](Self::my_buf)) and re-register, so reaping out from
-    /// under them is safe.
-    fn flush_for_close(&self) {
-        fault::fail_point!("shard.skip-close-flush", return);
-        self.flush_all();
-        self.reap_empty_slots();
-    }
-
-    /// Return every empty, owned buffer slot to the free list. Cold
-    /// path: called at close, not from the hot flush-before-report loop
-    /// (reaping there would thrash active threads' slots, forcing a
-    /// re-registration per emptiness check).
-    fn reap_empty_slots(&self) -> usize {
-        let mut freed = 0;
-        for i in 0..self.bufs.len() {
-            let owner = self.bufs.get(i).owner.load(Ordering::Acquire);
-            if owner != FREE_SLOT && self.bufs.try_free(i, owner) {
-                freed += 1;
-            }
-        }
-        freed
-    }
-
-    /// Sticky insert target for a fresh run: random under stickiness
-    /// (the MultiQueue policy — spreads each thread's runs over all
-    /// shards), home-affine when only buffering is armed.
-    fn pick_insert_shard(&self) -> usize {
-        if self.tuning.stickiness >= 1 && self.shards.len() > 1 {
-            self.random_shard()
-        } else {
-            self.home_shard()
-        }
-    }
-
-    /// Sticky extract source for a fresh run: the two-choice winner by
-    /// root hint (degenerates to shard 0 on a single shard).
-    fn pick_extract_shard(&self) -> usize {
-        if self.shards.len() == 1 {
-            return 0;
-        }
-        let _pick = obs::span!(obs::SpanPhase::ShardPick);
-        let (a, b) = self.pick_two();
-        self.order_by_hint(a, b).0
-    }
-
-    /// Fast-path insert: sticky shard choice plus (optionally) staging
-    /// in the thread-local insert buffer. Flush triggers: overflow
-    /// (buffer reached its depth) and re-sample (the sticky run ended,
-    /// so pending elements are published to the shard they were staged
-    /// for before the target moves).
-    fn fast_insert(&self, prio: u64, value: V) {
-        let mut b = self.my_buf();
-        if b.ins_left == 0 {
-            self.flush_ins(&mut b); // flush-on-resample
-            b.ins_shard = self.pick_insert_shard();
-            // Stickiness off = home-affine: the target never moves, so
-            // the run never expires (overflow still bounds the buffer).
-            b.ins_left = match self.tuning.stickiness {
-                0 => usize::MAX,
-                c => c,
-            };
-        }
-        b.ins_left -= 1;
-        if self.tuning.insert_buffer > 1 {
-            b.ins.push((prio, value));
-            self.pending_ins.fetch_add(1, Ordering::Relaxed);
-            if b.ins.len() >= self.tuning.insert_buffer {
-                self.flush_ins(&mut b); // flush-on-overflow
-            }
-        } else {
-            let s = b.ins_shard;
-            drop(b); // don't hold the slot lock across the shard insert
-            self.shards[s].insert(prio, value);
-        }
-    }
-
-    /// Fast-path extract: serve from the thread-local delete buffer,
-    /// refilling it from the sticky shard (two-choice winner, re-picked
-    /// every `stickiness` refills). When the sticky shard runs dry the
-    /// legacy steal/sweep runs, and before concluding empty every
-    /// thread's buffers are flushed and the sweep retried — an element
-    /// staged in *any* buffer keeps `None` off the table.
-    fn fast_extract(&self) -> Option<(u64, V)> {
-        let mut b = self.my_buf();
-        if let Some(got) = b.del.pop() {
-            self.pending_del.fetch_sub(1, Ordering::Relaxed);
-            return Some(got);
-        }
-        if b.del_left == 0 {
-            b.del_shard = self.pick_extract_shard();
-            b.del_left = self.tuning.stickiness.max(1);
-        }
-        b.del_left -= 1;
-        let s = b.del_shard;
-        let want = self.tuning.delete_buffer.max(1);
-        let mut got = self.shards[s].extract_batch(&mut b.del, want);
-        if got > 0 {
-            self.note_extracts(s, got as u64);
-        } else {
-            // Sticky shard dry: drop the run and refill through the
-            // legacy two-choice/steal/sweep (which does its own
-            // controller bookkeeping).
-            b.del_left = 0;
-            got = self.extract_batch_direct(&mut b.del, want);
-        }
-        if got > 0 {
-            self.delete_refills.fetch_add(1, Ordering::Relaxed);
-            if got > 1 {
-                b.del.sort_unstable_by_key(|&(p, _)| p);
-            }
-            self.pending_del.fetch_add(got - 1, Ordering::Relaxed);
-            return Some(b.del.pop().expect("refill returned > 0"));
-        }
-        // Every shard individually reported empty; elements may still be
-        // hiding in (other threads') buffers — flush-before-report.
-        drop(b);
-        loop {
-            let moved = self.flush_all();
-            if let Some(got) = self.extract_direct() {
-                return Some(got);
-            }
-            if moved == 0 {
-                return None;
-            }
-        }
-    }
-
-    /// Insert into the calling thread's home shard (locality; on a real
-    /// NUMA machine, pin threads so the home shard's memory is local) —
-    /// or, with a [`ShardedConfig`], into the sticky shard via the
-    /// thread-local insert buffer.
-    ///
-    /// On a capacity-bounded queue the insert first tries every shard
-    /// fallibly (home first — per-shard budgets are `capacity / shards`,
-    /// and a skewed producer set must still reach the whole budget)
-    /// before falling back to the home shard's infallible insert, which
-    /// applies the configured [`ShedPolicy`](crate::ShedPolicy) there.
-    pub fn insert(&self, prio: u64, value: V) {
-        if self.fast_ins {
-            return self.fast_insert(prio, value);
-        }
-        self.insert_direct(prio, value);
-    }
-
     fn insert_direct(&self, prio: u64, value: V) {
         let home = self.home_shard();
         if self.shards[home].capacity().is_none() {
@@ -822,14 +496,6 @@ impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> ShardedZmsq<V, S, L> {
         }
     }
 
-    /// Fallible insert: home shard first, spilling to the other shards
-    /// when the home budget is exhausted. Returns
-    /// [`InsertError::Full`] only after *every* shard rejected.
-    #[must_use = "the rejected element is inside the error; dropping it loses work"]
-    pub fn try_insert(&self, prio: u64, value: V) -> Result<(), InsertError<V>> {
-        self.try_insert_spill(self.home_shard(), prio, value)
-    }
-
     fn try_insert_spill(&self, home: usize, prio: u64, value: V) -> Result<(), InsertError<V>> {
         let n = self.shards.len();
         let mask = n - 1;
@@ -842,67 +508,6 @@ impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> ShardedZmsq<V, S, L> {
             };
         }
         Err(InsertError::Full(value))
-    }
-
-    /// [`try_insert`](Self::try_insert) that, after a full spill pass,
-    /// parks on the *home* shard (under
-    /// [`ShedPolicy::Block`](crate::ShedPolicy::Block)) up to `timeout`.
-    #[must_use = "the rejected element is inside the error; dropping it loses work"]
-    pub fn insert_timeout(
-        &self,
-        prio: u64,
-        value: V,
-        timeout: std::time::Duration,
-    ) -> Result<(), InsertError<V>> {
-        let home = self.home_shard();
-        match self.try_insert_spill(home, prio, value) {
-            Ok(()) => Ok(()),
-            Err(InsertError::Full(v)) => self.shards[home].insert_timeout(prio, v, timeout),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Bulk insertion: scatter `items` round-robin across the shards,
-    /// starting at the home shard, then bulk-insert each shard's share.
-    /// Round-robin (rather than contiguous chunks of the sorted input)
-    /// keeps every shard's priority distribution balanced, which is what
-    /// the two-choice extraction side assumes.
-    pub fn insert_batch(&self, items: &mut Vec<(u64, V)>) {
-        let n = self.shards.len();
-        if n == 1 || items.len() <= 1 {
-            self.shards[self.home_shard()].insert_batch(items);
-            return;
-        }
-        let mask = n - 1;
-        let home = self.home_shard();
-        let mut per: Vec<Vec<(u64, V)>> = (0..n)
-            .map(|_| Vec::with_capacity(items.len() / n + 1))
-            .collect();
-        for (i, item) in items.drain(..).enumerate() {
-            per[(home + i) & mask].push(item);
-        }
-        for (s, mut chunk) in per.into_iter().enumerate() {
-            if !chunk.is_empty() {
-                self.shards[s].insert_batch(&mut chunk);
-            }
-        }
-    }
-
-    /// Extract from the better of two distinct random shards (by
-    /// optimistic root max), stealing once from the loser if the winner's
-    /// hint was stale, and sweeping every shard before concluding empty —
-    /// or, with a [`ShardedConfig`], from the thread-local delete buffer
-    /// refilled from the sticky shard.
-    ///
-    /// The emptiness guarantee survives tuning: before returning `None`
-    /// every thread's staged operations are flushed back to the shards
-    /// and the sweep retried, so `None` still means every shard
-    /// individually reported empty *with no element hiding in a buffer*.
-    pub fn extract_max(&self) -> Option<(u64, V)> {
-        if self.fast_del {
-            return self.fast_extract();
-        }
-        self.extract_direct()
     }
 
     fn extract_direct(&self) -> Option<(u64, V)> {
@@ -939,49 +544,6 @@ impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> ShardedZmsq<V, S, L> {
             }
         }
         None
-    }
-
-    /// Batched extraction: gather up to `n` elements, routing each round
-    /// through the same two-choice / steal / sweep policy as
-    /// [`extract_max`](Self::extract_max) and draining the chosen shard's
-    /// pool with single-`fetch_sub` batched claims. With a
-    /// [`ShardedConfig`], the calling thread's delete buffer is served
-    /// first and buffers are flushed before an empty report, mirroring
-    /// `extract_max`.
-    pub fn extract_batch(&self, out: &mut Vec<(u64, V)>, n: usize) -> usize {
-        if !self.fast_del {
-            return self.extract_batch_direct(out, n);
-        }
-        let mut got = 0;
-        {
-            let mut b = self.my_buf();
-            while got < n {
-                match b.del.pop() {
-                    Some(e) => {
-                        out.push(e);
-                        got += 1;
-                    }
-                    None => break,
-                }
-            }
-            if got > 0 {
-                self.pending_del.fetch_sub(got, Ordering::Relaxed);
-            }
-        }
-        if got < n {
-            got += self.extract_batch_direct(out, n - got);
-        }
-        if got == 0 && n > 0 {
-            // Flush-before-report, as in `fast_extract`.
-            loop {
-                let moved = self.flush_all();
-                got = self.extract_batch_direct(out, n);
-                if got > 0 || moved == 0 {
-                    break;
-                }
-            }
-        }
-        got
     }
 
     fn extract_batch_direct(&self, out: &mut Vec<(u64, V)>, n: usize) -> usize {
@@ -1036,74 +598,50 @@ impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> ShardedZmsq<V, S, L> {
         }
         got
     }
+}
 
-    /// Sum of shard size hints plus elements staged in operation
-    /// buffers (staged inserts are not yet in any shard; prefetched
-    /// deletions are already out of theirs but not yet handed to a
-    /// caller — both are still *in the queue*).
-    pub fn len_hint(&self) -> usize {
-        self.shards.iter().map(|s| s.len_hint()).sum::<usize>()
-            + self.pending_ins.load(Ordering::Relaxed)
-            + self.pending_del.load(Ordering::Relaxed)
+impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> Shards<V> for ZmsqShards<V, S, L> {
+    fn insert(&self, i: usize, prio: u64, value: V) {
+        self.shards[i].insert(prio, value);
     }
 
-    /// Publish every thread's staged operations (see
-    /// [`ConcurrentPriorityQueue::flush`](pq_traits::ConcurrentPriorityQueue::flush)):
-    /// staged inserts reach their sticky shards, prefetched deletions
-    /// return to theirs. The escape hatch for checkpoints and for
-    /// consumers that need cross-thread visibility *now* rather than at
-    /// the next flush trigger.
-    pub fn flush(&self) {
-        self.flush_all();
+    fn insert_batch(&self, i: usize, items: &mut Vec<(u64, V)>) {
+        self.shards[i].insert_batch(items);
     }
 
-    /// Access a shard directly (diagnostics, per-shard stats).
-    pub fn shard(&self, i: usize) -> &Zmsq<V, S, L> {
-        &self.shards[i]
+    fn extract_batch(&self, i: usize, out: &mut Vec<(u64, V)>, want: usize) -> usize {
+        let got = self.shards[i].extract_batch(out, want);
+        if got > 0 {
+            self.note_extracts(i, got as u64);
+        }
+        got
     }
 
-    /// Mean effective refill batch across shards (equals the configured
-    /// `batch` everywhere when the controller is off).
-    pub fn mean_batch(&self) -> usize {
-        self.shards.iter().map(|s| s.current_batch()).sum::<usize>() / self.shards.len()
-    }
-
-    /// Total capacity across shards, if bounded. May exceed the value
-    /// passed to [`ZmsqConfig::capacity`] by up to `shards - 1`
-    /// (per-shard budgets round up).
-    pub fn capacity(&self) -> Option<usize> {
-        self.shards[0].capacity().map(|c| c * self.shards.len())
-    }
-
-    /// Live elements under capacity accounting, summed over shards.
-    pub fn occupancy(&self) -> usize {
-        self.shards.iter().map(|s| s.occupancy()).sum()
-    }
-
-    /// Producers currently parked waiting for room, summed over shards.
-    pub fn producer_waiters(&self) -> usize {
-        self.shards.iter().map(|s| s.producer_waiters()).sum()
-    }
-
-    /// Close every shard: wakes all blocked consumers and producers
-    /// permanently (see [`Zmsq::close`]). Staged operations are flushed
-    /// first so no element is stranded in a thread-local buffer after
-    /// close — drain loops observe everything that was inserted.
-    ///
-    /// An insert racing `close()` may still be staged after the flush;
-    /// it is published at that thread's next flush trigger or by an
-    /// explicit [`flush`](Self::flush), the same window a linearizable
-    /// queue gives an insert that linearizes after close.
-    pub fn close(&self) {
-        self.flush_for_close();
-        for s in &self.shards {
-            s.close();
+    /// Random under stickiness (the MultiQueue policy — spreads each
+    /// thread's runs over all shards), home-affine when only buffering
+    /// is armed.
+    fn pick_insert(&self, sticky: bool) -> usize {
+        if sticky && self.shards.len() > 1 {
+            self.random_shard()
+        } else {
+            self.home_shard()
         }
     }
 
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.shards.iter().any(|s| s.is_closed())
+    /// The two-choice winner by root hint (shard 0 on a single shard).
+    fn pick_extract(&self) -> usize {
+        if self.shards.len() == 1 {
+            return 0;
+        }
+        let _pick = obs::span!(obs::SpanPhase::ShardPick);
+        let (a, b) = self.pick_two();
+        self.order_by_hint(a, b).0
+    }
+
+    /// Two-choice, steal and sweep, with the batch controller's
+    /// bookkeeping.
+    fn extract_fallback(&self, out: &mut Vec<(u64, V)>, want: usize) -> usize {
+        self.extract_batch_direct(out, want)
     }
 }
 
@@ -1134,15 +672,13 @@ impl<V: Send + 'static, S: NodeSet<V> + 'static, L: RawTryLock + 'static>
         ShardedZmsq::insert_timeout(self, prio, value, timeout)
     }
     fn name(&self) -> String {
-        let mut n = format!("zmsq-sharded-{}", self.shards.len());
+        let mut n = format!("zmsq-sharded-{}", self.shard_count());
         if self.is_adaptive() {
             n.push_str("-adaptive");
         }
-        if self.tuning.is_tuned() {
-            n.push_str(&format!(
-                "-c{}-i{}-d{}",
-                self.tuning.stickiness, self.tuning.insert_buffer, self.tuning.delete_buffer
-            ));
+        let t = self.tuning();
+        if t.is_tuned() {
+            n.push_str(&format!("-{t}"));
         }
         n
     }
@@ -1156,34 +692,21 @@ impl<V: Send + 'static, S: NodeSet<V> + 'static, L: RawTryLock + 'static>
         // Fold the per-shard operation counters into one queue-level view,
         // then attach the per-shard gauges the CI smoke asserts on.
         let mut total = StatsSnapshot::default();
-        for sh in &self.shards {
+        for sh in &self.core.shards {
             total.absorb(&sh.stats());
         }
         let mut snap = total.to_obs();
-        snap.push_gauge("zmsq.shards", self.shards.len() as i64);
+        snap.push_gauge("zmsq.shards", self.core.shards.len() as i64);
         snap.push_gauge("zmsq.batch.current", self.mean_batch() as i64);
-        snap.push_counter("zmsq.batch.widens", self.widens.load(Ordering::Relaxed));
-        snap.push_counter("zmsq.batch.narrows", self.narrows.load(Ordering::Relaxed));
-        if self.fast_ins || self.fast_del {
-            snap.push_gauge("buf.threads", self.bufs.len() as i64);
-            snap.push_gauge("buf.free_slots", self.bufs.free_count() as i64);
-            snap.push_gauge(
-                "buf.pending_inserts",
-                self.pending_ins.load(Ordering::Relaxed) as i64,
-            );
-            snap.push_gauge(
-                "buf.pending_deletes",
-                self.pending_del.load(Ordering::Relaxed) as i64,
-            );
-            snap.push_counter(
-                "buf.insert_flushes",
-                self.insert_flushes.load(Ordering::Relaxed),
-            );
-            snap.push_counter(
-                "buf.delete_refills",
-                self.delete_refills.load(Ordering::Relaxed),
-            );
-        }
+        snap.push_counter(
+            "zmsq.batch.widens",
+            self.core.widens.load(Ordering::Relaxed),
+        );
+        snap.push_counter(
+            "zmsq.batch.narrows",
+            self.core.narrows.load(Ordering::Relaxed),
+        );
+        self.relax.export(&mut snap);
         if let Some(cap) = self.capacity() {
             snap.push_gauge("queue.pressure.capacity", cap as i64);
             snap.push_gauge("queue.pressure.occupancy", self.occupancy() as i64);
@@ -1192,7 +715,7 @@ impl<V: Send + 'static, S: NodeSet<V> + 'static, L: RawTryLock + 'static>
                 self.producer_waiters() as i64,
             );
         }
-        for (i, sh) in self.shards.iter().enumerate() {
+        for (i, sh) in self.core.shards.iter().enumerate() {
             let st = sh.stats();
             snap.push_gauge(&format!("zmsq.shard.{i}.batch"), sh.current_batch() as i64);
             snap.push_gauge(&format!("zmsq.shard.{i}.len_hint"), sh.len_hint() as i64);
@@ -1205,13 +728,13 @@ impl<V: Send + 'static, S: NodeSet<V> + 'static, L: RawTryLock + 'static>
         // measured against the shard's own population; the composed
         // cross-shard rank error additionally carries the two-choice
         // tail, so this fold is a *lower bound* on global rank error.
-        if self.shards[0].rank_estimator().is_some() {
+        if self.core.shards[0].rank_estimator().is_some() {
             let mut c = [0u64; 9];
             let mut wasted = 0u64;
             let (mut live, mut slots) = (0usize, 0usize);
             let mut est_rank = obs::HistSnapshot::default();
             let mut staleness = obs::HistSnapshot::default();
-            for sh in &self.shards {
+            for sh in &self.core.shards {
                 let est = sh.rank_estimator().expect("uniform shard config");
                 let (si, st, dr, se, ma, mi, sr, rm, rs) = est.counters();
                 for (dst, v) in c.iter_mut().zip([si, st, dr, se, ma, mi, sr, rm, rs]) {
@@ -1237,7 +760,7 @@ impl<V: Send + 'static, S: NodeSet<V> + 'static, L: RawTryLock + 'static>
             snap.push_gauge(
                 "quality.sample_shift",
                 u64::from(
-                    self.shards[0]
+                    self.core.shards[0]
                         .rank_estimator()
                         .expect("checked")
                         .sample_shift(),
@@ -1257,11 +780,11 @@ impl<V: Send + 'static, S: NodeSet<V> + 'static, L: RawTryLock + 'static>
         // Fold per-shard sojourn telemetry the same way: one queue-level
         // `queue.sojourn_ns` histogram (per-shard sojourns are true
         // end-to-end waits regardless of which shard served the key).
-        if self.shards[0].sojourn_tracker().is_some() {
+        if self.core.shards[0].sojourn_tracker().is_some() {
             let mut c = [0u64; 5];
             let (mut live, mut slots) = (0usize, 0usize);
             let mut sojourn = obs::HistSnapshot::default();
-            for sh in &self.shards {
+            for sh in &self.core.shards {
                 let soj = sh.sojourn_tracker().expect("uniform shard config");
                 let (st, ma, mi, dr, rm) = soj.counters();
                 for (dst, v) in c.iter_mut().zip([st, ma, mi, dr, rm]) {
@@ -1280,7 +803,7 @@ impl<V: Send + 'static, S: NodeSet<V> + 'static, L: RawTryLock + 'static>
             snap.push_gauge(
                 "sojourn.sample_shift",
                 i64::from(
-                    self.shards[0]
+                    self.core.shards[0]
                         .sojourn_tracker()
                         .expect("checked")
                         .sample_shift(),
@@ -1359,7 +882,7 @@ mod tests {
         for shards in [2usize, 4, 8] {
             let q: ShardedZmsq<u64> = ShardedZmsq::new(shards, ZmsqConfig::default());
             for _ in 0..1_000 {
-                let (a, b) = q.pick_two();
+                let (a, b) = q.core.pick_two();
                 assert_ne!(a, b, "two-choice degenerated to one choice");
                 assert!(a < shards && b < shards);
             }
@@ -1374,7 +897,7 @@ mod tests {
         q.shard(1).insert(7, 7);
         let mut wins = [0usize; 2];
         for _ in 0..400 {
-            let (w, _) = q.order_by_hint(0, 1);
+            let (w, _) = q.core.order_by_hint(0, 1);
             wins[w] += 1;
         }
         assert!(
@@ -1736,295 +1259,34 @@ mod tests {
     }
 
     #[test]
-    fn default_tuning_keeps_legacy_paths() {
-        let q: ShardedZmsq<u64> = ShardedZmsq::new(4, ZmsqConfig::default());
-        assert!(!q.fast_ins && !q.fast_del);
-        assert!(!q.tuning().is_tuned());
-        // No buffer slot is ever registered on the legacy paths.
-        q.insert(1, 1);
-        assert_eq!(q.extract_max(), Some((1, 1)));
-        assert_eq!(q.bufs.len(), 0);
-    }
-
-    #[test]
     fn capacity_disarms_fast_path() {
         let q: ShardedZmsq<u64> = ShardedZmsq::with_tuning(
             4,
             ZmsqConfig::default().capacity(16),
             ShardedConfig::new().stickiness(8).insert_buffer(8),
         );
-        assert!(!q.fast_ins && !q.fast_del, "bounded queue must stay legacy");
-    }
-
-    #[test]
-    fn buffered_insert_publishes_on_overflow() {
-        let q = tuned_q(0, 4, 0);
-        // Insert-only buffering still arms the extract side: the
-        // flush-before-report loop is what keeps `None` honest while
-        // elements are staged in insert buffers.
-        assert!(q.fast_ins && q.fast_del);
-        for i in 0..3u64 {
-            q.insert(i, i);
-        }
-        // Below the buffer depth: staged, counted by len_hint, invisible
-        // to the shards.
-        assert_eq!(q.pending_ins.load(Ordering::Relaxed), 3);
-        assert_eq!(q.shards.iter().map(|s| s.len_hint()).sum::<usize>(), 0);
-        assert_eq!(q.len_hint(), 3);
-        q.insert(3, 3); // overflow: the whole buffer flushes
-        assert_eq!(q.pending_ins.load(Ordering::Relaxed), 0);
-        assert_eq!(q.len_hint(), 4);
-        let snap = pq_traits::ConcurrentPriorityQueue::metrics(&q).unwrap();
-        assert_eq!(snap.counter("buf.insert_flushes"), Some(1));
-        assert_eq!(snap.gauge("buf.pending_inserts"), Some(0));
-        let mut got = 0;
-        while q.extract_max().is_some() {
-            got += 1;
-        }
-        assert_eq!(got, 4);
-    }
-
-    #[test]
-    fn insert_buffer_only_tuning_keeps_emptiness_honest() {
-        // Regression: with stickiness 0, insert_buffer > 1 and no delete
-        // buffer, extract_max used to run the direct path with no
-        // flush-before-report — insert(1, 1) then extract_max() returned
-        // None while the element sat staged in the thread-local buffer.
-        let q = tuned_q(0, 8, 0);
-        q.insert(1, 1);
-        assert_eq!(q.pending_ins.load(Ordering::Relaxed), 1, "staged");
-        assert_eq!(q.extract_max(), Some((1, 1)), "staged element invisible");
-        assert_eq!(q.extract_max(), None);
-        // Same guarantee through the batch API.
-        q.insert(2, 2);
-        let mut out = Vec::new();
-        assert_eq!(q.extract_batch(&mut out, 4), 1);
-        assert_eq!(out, vec![(2, 2)]);
-    }
-
-    #[test]
-    fn evicted_thread_reuses_its_buffer_slot() {
-        // Regression: a thread whose `(instance, slot)` cache entry was
-        // evicted used to register a brand-new slot on each return,
-        // growing `bufs` (and every flush_all scan) without bound.
-        let q = tuned_q(0, 8, 0);
-        q.insert(1, 1);
-        assert_eq!(q.bufs.len(), 1);
-        // Simulate eviction: blow this thread's cache entry away.
-        BUF_SLOTS.with(|c| c.borrow_mut().clear());
-        q.insert(2, 2);
-        assert_eq!(q.bufs.len(), 1, "re-registration must reuse the slot");
-        // Both staged elements live in the one slot and drain out.
-        let mut got = 0;
-        while q.extract_max().is_some() {
-            got += 1;
-        }
-        assert_eq!(got, 2);
-    }
-
-    #[test]
-    fn eviction_frees_empty_slot_for_other_threads() {
-        // Regression (PR 9 review): eviction used to leave one dead slot
-        // per (thread, instance) forever; a thread cycling through many
-        // live instances grew every instance's `flush_all` scan without
-        // bound. Now eviction returns an empty slot to the free list,
-        // and the next registrant claims it instead of growing `bufs`.
-        let q = tuned_q(0, 8, 0);
-        q.insert(1, 1);
-        assert_eq!(q.extract_max(), Some((1, 1)));
-        assert_eq!(q.bufs.len(), 1);
-        assert_eq!(q.bufs.free_count(), 0);
-        // Touch HOME_CACHE_CAP more instances: q's entry is the oldest
-        // and gets evicted, freeing its (empty) slot.
-        let others: Vec<_> = (0..HOME_CACHE_CAP).map(|_| tuned_q(0, 8, 0)).collect();
-        for (i, o) in others.iter().enumerate() {
-            o.insert(i as u64, 0);
-            assert_eq!(o.extract_max(), Some((i as u64, 0)));
-        }
-        assert_eq!(
-            q.bufs.free_count(),
-            1,
-            "evicted empty slot must return to the free list"
+        assert!(
+            !q.relax.routes_inserts() && !q.relax.routes_extracts(),
+            "bounded queue must stay legacy"
         );
-        // A fresh thread claims the freed slot instead of growing.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                q.insert(2, 2);
-                assert_eq!(q.extract_max(), Some((2, 2)));
-            });
-        });
-        assert_eq!(
-            q.bufs.len(),
-            1,
-            "freed slot recycled, registry did not grow"
-        );
-        assert_eq!(q.bufs.free_count(), 0);
-        // The original thread, returning after eviction, re-registers
-        // (scan finds the slot now foreign-owned, so it grows by one —
-        // bounded by live threads, not by instances visited).
-        q.insert(3, 3);
-        assert_eq!(q.extract_max(), Some((3, 3)));
-        assert!(q.bufs.len() <= 2);
     }
 
     #[test]
-    fn eviction_keeps_nonempty_slot_owned() {
-        // A slot with staged elements cannot be freed from the eviction
-        // hook (no shard access there): it must stay owned so flushes
-        // still reach the staged elements and the owner rediscovers the
-        // slot by tag scan.
-        let q = tuned_q(0, 8, 0);
-        q.insert(1, 1); // staged, buffer non-empty
-        assert_eq!(q.pending_ins.load(Ordering::Relaxed), 1);
-        let others: Vec<_> = (0..HOME_CACHE_CAP).map(|_| tuned_q(0, 8, 0)).collect();
-        for (i, o) in others.iter().enumerate() {
-            o.insert(i as u64, 0);
-            assert_eq!(o.extract_max(), Some((i as u64, 0)));
-        }
-        assert_eq!(q.bufs.free_count(), 0, "non-empty slot must not be freed");
-        // The staged element is still reachable (flush-before-report)...
-        assert_eq!(q.extract_max(), Some((1, 1)));
-        // ...and the owner reused its old slot rather than registering anew.
-        assert_eq!(q.bufs.len(), 1);
-    }
-
-    #[test]
-    fn close_reaps_slots_and_survivors_reregister() {
-        let q = tuned_q(0, 8, 0);
-        q.insert(1, 1);
-        assert_eq!(q.extract_max(), Some((1, 1)));
-        assert_eq!(q.bufs.len(), 1);
-        q.close();
-        assert_eq!(
-            q.bufs.free_count(),
-            1,
-            "close must reap the emptied buffer slots"
-        );
-        // This thread's cache entry is now stale; the lock-then-revalidate
-        // path must re-register (reclaiming the freed slot) rather than
-        // share a slot with a future foreign owner.
-        q.insert(2, 2); // staged/inserted into a closed queue: still flushable
-        q.flush();
-        assert_eq!(q.bufs.len(), 1, "re-registration reuses the reaped slot");
-    }
-
-    #[test]
-    fn flush_publishes_partial_buffers() {
-        let q = tuned_q(0, 64, 0);
-        for i in 0..5u64 {
-            q.insert(i, i);
-        }
-        assert_eq!(q.pending_ins.load(Ordering::Relaxed), 5);
-        q.flush();
-        assert_eq!(q.pending_ins.load(Ordering::Relaxed), 0);
-        assert_eq!(q.shards.iter().map(|s| s.len_hint()).sum::<usize>(), 5);
-    }
-
-    #[test]
-    fn close_flushes_buffers() {
+    fn close_flushes_and_reaps_buffers() {
         let q = tuned_q(4, 16, 0);
         for i in 0..7u64 {
             q.insert(i, i);
         }
-        assert!(q.pending_ins.load(Ordering::Relaxed) > 0);
+        assert!(q.relax.pending() > 0);
         q.close();
-        assert_eq!(q.pending_ins.load(Ordering::Relaxed), 0);
+        assert_eq!(q.relax.pending(), 0);
+        let snap = pq_traits::ConcurrentPriorityQueue::metrics(&q).unwrap();
+        assert_eq!(snap.gauge("buf.free_slots"), Some(1), "close reaps slots");
         let mut got = 0;
         while q.extract_max().is_some() {
             got += 1;
         }
         assert_eq!(got, 7, "close must not strand staged inserts");
-    }
-
-    #[test]
-    fn delete_buffer_serves_in_priority_order() {
-        let q = tuned_q(0, 0, 8);
-        assert!(q.fast_del);
-        for i in 0..8u64 {
-            q.shard(0).insert(i, i);
-        }
-        // One refill prefetches several elements; successive pops come
-        // out highest-first from the buffer.
-        let first = q.extract_max().unwrap().0;
-        assert!(q.pending_del.load(Ordering::Relaxed) > 0, "no prefetch");
-        let second = q.extract_max().unwrap().0;
-        assert!(first >= second, "buffer served out of order");
-        let snap = pq_traits::ConcurrentPriorityQueue::metrics(&q).unwrap();
-        assert_eq!(snap.counter("buf.delete_refills"), Some(1));
-    }
-
-    #[test]
-    fn empty_report_reclaims_foreign_buffers() {
-        // A thread that prefetched elements into its delete buffer (and
-        // staged an insert) then went idle must not make the queue lie
-        // about emptiness to other threads.
-        let q = std::sync::Arc::new(tuned_q(4, 4, 4));
-        for i in 0..10u64 {
-            q.shard(0).insert(i, i);
-        }
-        let q2 = std::sync::Arc::clone(&q);
-        std::thread::spawn(move || {
-            let _ = q2.extract_max().expect("elements present"); // prefetches
-            q2.insert(99, 99); // stays staged (buffer depth 4 not reached)
-        })
-        .join()
-        .unwrap();
-        assert!(
-            q.pending_del.load(Ordering::Relaxed) > 0 || q.pending_ins.load(Ordering::Relaxed) > 0,
-            "test setup: something must be staged in the idle thread's buffer"
-        );
-        // 9 original elements + the staged 99 remain; this thread must
-        // see every one of them before None.
-        let mut got = 0;
-        while q.extract_max().is_some() {
-            got += 1;
-        }
-        assert_eq!(got, 10, "elements stranded in a foreign buffer");
-        assert_eq!(q.len_hint(), 0);
-    }
-
-    #[test]
-    fn tuned_roundtrip_conserves_across_threads() {
-        let q = tuned_q(8, 8, 8);
-        let got = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let (q, got) = (&q, &got);
-                s.spawn(move || {
-                    for i in 0..5_000u64 {
-                        q.insert((t * 5000 + i) % 7777, i);
-                        if i % 2 == 0 && q.extract_max().is_some() {
-                            got.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        let mut rest = 0u64;
-        while q.extract_max().is_some() {
-            rest += 1;
-        }
-        assert_eq!(got.into_inner() + rest, 20_000);
-        assert_eq!(q.len_hint(), 0);
-    }
-
-    #[test]
-    fn tuned_extract_batch_conserves() {
-        let q = tuned_q(4, 8, 8);
-        for i in 0..1_000u64 {
-            q.insert(i, i);
-        }
-        let mut out = Vec::new();
-        loop {
-            let n = q.extract_batch(&mut out, 37);
-            if n == 0 {
-                break;
-            }
-        }
-        let mut keys: Vec<u64> = out.iter().map(|&(k, _)| k).collect();
-        keys.sort_unstable();
-        assert_eq!(keys, (0..1_000).collect::<Vec<_>>(), "elements lost");
-        assert_eq!(q.len_hint(), 0);
     }
 
     #[test]
@@ -2047,19 +1309,5 @@ mod tests {
         })
         .join()
         .unwrap();
-    }
-
-    #[test]
-    fn tuned_returns_highish_elements() {
-        let q = tuned_q(8, 8, 8);
-        for i in 0..20_000u64 {
-            q.insert(i, i);
-        }
-        q.flush();
-        let mut sum = 0u64;
-        for _ in 0..200 {
-            sum += q.extract_max().unwrap().0;
-        }
-        assert!(sum / 200 > 15_000, "tuned extraction rank too low");
     }
 }

@@ -285,7 +285,16 @@ fn tuned_multiqueue_differential() {
     check_tuned(
         0xA11_000A,
         6,
-        |c, k| baselines::MultiQueue::<u64>::with_tuning(4, 2, c, k, k),
+        |c, k| {
+            baselines::MultiQueue::<u64>::with_tuning(
+                4,
+                2,
+                zmsq::ShardedConfig::new()
+                    .stickiness(c)
+                    .insert_buffer(k)
+                    .delete_buffer(k),
+            )
+        },
         |c, k| 8 * (1 + 8 * (c + k)) + 64,
     )
 }

@@ -1100,72 +1100,77 @@ fn conservation_klsm_batched_under_faults() {
     assert_eq!(ext_xor, ins_xor, "k-lsm: elements lost or duplicated");
 }
 
-/// Tuned (sticky + buffered) sharded conservation under stretched
-/// flush and pool windows: operation buffers stage elements in shared
-/// per-thread slots, and every overflow/re-sample flush crosses the
-/// `shard.flush-delay` failpoint while the underlying pool claims and
-/// refills are delayed too. Conservation must hold through the
+/// Tuned (sticky + buffered) conservation under stretched flush
+/// windows, once per queue over the one relaxation layer. Operation
+/// buffers stage elements in shared per-thread slots, and every
+/// overflow/re-sample flush crosses the `shard.flush-delay` failpoint;
+/// the sharded row also delays the underlying pool claims and refills
+/// and fails trylocks spuriously. Conservation must hold through the
 /// flush-before-report path that publishes slot buffers when a consumer
 /// would otherwise report empty — including the final single-threaded
 /// drain of elements the worker threads left staged.
 #[test]
-fn conservation_tuned_sharded_under_flush_faults() {
+fn conservation_tuned_under_flush_faults() {
+    type MakeQ = fn(ShardedConfig) -> Box<dyn ConcurrentPriorityQueue<u64>>;
+    let sharded: MakeQ = |t| {
+        Box::new(ShardedZmsq::<u64>::with_tuning(
+            4,
+            ZmsqConfig::default().batch(4).target_len(8),
+            t,
+        ))
+    };
+    let multiqueue: MakeQ = |t| Box::new(MultiQueue::<u64>::with_tuning(4, 2, t));
+    let rows: [(&str, u64, MakeQ, Vec<(&'static str, Policy)>); 2] = [
+        (
+            "sharded",
+            0x0E,
+            sharded,
+            vec![
+                (
+                    "shard.flush-delay",
+                    Policy::new(Trigger::Prob(0.05)).with_action(Action::SleepMs(1)),
+                ),
+                (
+                    "pool.claim-delay",
+                    Policy::new(Trigger::Prob(0.1)).with_action(Action::Yield),
+                ),
+                (
+                    "pool.refill-delay",
+                    Policy::new(Trigger::Prob(0.2)).with_action(Action::Yield),
+                ),
+                ("trylock.spurious-fail", Policy::new(Trigger::Prob(0.05))),
+            ],
+        ),
+        (
+            "multiqueue",
+            0x0F,
+            multiqueue,
+            vec![(
+                "shard.flush-delay",
+                Policy::new(Trigger::Prob(0.1)).with_action(Action::Yield),
+            )],
+        ),
+    ];
     let _x = fault::exclusive();
-    fault::reset();
     let seed = chaos_seed();
-    fault::set_seed(seed ^ 0x0E);
-    let _dump = DumpOnFail(seed ^ 0x0E);
-    fault::configure(
-        "shard.flush-delay",
-        Policy::new(Trigger::Prob(0.05)).with_action(Action::SleepMs(1)),
-    );
-    fault::configure(
-        "pool.claim-delay",
-        Policy::new(Trigger::Prob(0.1)).with_action(Action::Yield),
-    );
-    fault::configure(
-        "pool.refill-delay",
-        Policy::new(Trigger::Prob(0.2)).with_action(Action::Yield),
-    );
-    fault::configure("trylock.spurious-fail", Policy::new(Trigger::Prob(0.05)));
-    let q: ShardedZmsq<u64> = ShardedZmsq::with_tuning(
-        4,
-        ZmsqConfig::default().batch(4).target_len(8),
-        ShardedConfig::new()
-            .stickiness(8)
-            .insert_buffer(8)
-            .delete_buffer(8),
-    );
-    run_conservation(&q, 3_000);
-    assert!(
-        fault::hit_count("shard.flush-delay") > 0,
-        "seed {seed:#x}: flush-delay failpoint never evaluated"
-    );
-    fault::reset();
-}
-
-/// Tuned MultiQueue conservation under delayed buffer flushes: the
-/// baseline's operation buffers share the `shard.flush-delay` failpoint,
-/// so a yield right before each publish widens the window in which a
-/// racing consumer sees the sub-heaps empty while elements sit staged.
-/// The retry/drain logic in `run_conservation` must still account for
-/// every element.
-#[test]
-fn conservation_tuned_multiqueue_under_flush_faults() {
-    let _x = fault::exclusive();
-    fault::reset();
-    let seed = chaos_seed();
-    fault::set_seed(seed ^ 0x0F);
-    let _dump = DumpOnFail(seed ^ 0x0F);
-    fault::configure(
-        "shard.flush-delay",
-        Policy::new(Trigger::Prob(0.1)).with_action(Action::Yield),
-    );
-    let q: MultiQueue<u64> = MultiQueue::with_tuning(4, 2, 8, 8, 8);
-    run_conservation(&q, 3_000);
-    assert!(
-        fault::hit_count("shard.flush-delay") > 0,
-        "seed {seed:#x}: flush-delay failpoint never evaluated"
-    );
+    for (name, salt, make, points) in rows {
+        fault::reset();
+        fault::set_seed(seed ^ salt);
+        let _dump = DumpOnFail(seed ^ salt);
+        for (point, policy) in points {
+            fault::configure(point, policy);
+        }
+        let q = make(
+            ShardedConfig::new()
+                .stickiness(8)
+                .insert_buffer(8)
+                .delete_buffer(8),
+        );
+        run_conservation(&q, 3_000);
+        assert!(
+            fault::hit_count("shard.flush-delay") > 0,
+            "{name}, seed {seed:#x}: flush-delay failpoint never evaluated"
+        );
+    }
     fault::reset();
 }
