@@ -319,9 +319,7 @@ impl<V: Send + 'static> ConcurrentPriorityQueue<V> for MultiQueue<V> {
             return None;
         }
         let mut snap = obs::Snapshot::default();
-        if let Some(est) = &self.heaps.est {
-            est.snapshot_into(&mut snap);
-        }
+        obs::RankEstimator::export(&self.heaps.est, &mut snap);
         self.relax.export(&mut snap);
         Some(snap)
     }

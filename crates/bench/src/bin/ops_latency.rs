@@ -2,12 +2,12 @@
 //!
 //! The paper reports throughput and mean handoff latency; a production
 //! release also needs tails. This harness records every `insert` and
-//! `extract_max` latency into a log-bucketed histogram, per queue, under
-//! a mixed workload with a prefilled queue, and prints p50/p99/p99.9.
+//! `extract_max` latency into an `obs` log-linear histogram, per queue,
+//! under a mixed workload with a prefilled queue, and prints
+//! p50/p99/p99.9.
 //!
-//! With `--metrics [path]` it additionally records the same latencies
-//! into `obs` log-linear histograms, samples each queue's `len_hint`
-//! into a time series, and writes one merged
+//! With `--metrics [path]` it additionally samples each queue's
+//! `len_hint` into a time series and writes one merged
 //! `results/ops_latency.metrics.json` covering per-queue histograms,
 //! queue-internal counters (`ConcurrentPriorityQueue::metrics`), and
 //! the process-wide sync/SMR substrate counters. The document's
@@ -39,7 +39,6 @@ use bench::cli::Args;
 use bench::metrics::{argv_line, MetricsOut};
 use bench::queues::make_queue;
 use pq_traits::ConcurrentPriorityQueue;
-use workloads::latency::LatencyHistogram;
 
 fn main() {
     let args = Args::parse();
@@ -64,11 +63,8 @@ fn main() {
         let kind = kind.trim();
         let q: Arc<dyn ConcurrentPriorityQueue<u64> + Send + Sync> =
             Arc::from(make_queue::<u64>(kind, threads));
-        let ins = LatencyHistogram::new();
-        let ext = LatencyHistogram::new();
-        let obs_ins = Arc::new(obs::Histogram::new());
-        let obs_ext = Arc::new(obs::Histogram::new());
-        let record_obs = observing;
+        let ins = Arc::new(obs::Histogram::new());
+        let ext = Arc::new(obs::Histogram::new());
 
         for i in 0..prefill {
             q.insert((i * 2654435761) % (1 << 20), i);
@@ -108,7 +104,7 @@ fn main() {
             // metrics (incl. `quality.est_rank` and `queue.sojourn_ns`)
             // plus the in-flight per-op latency histograms, namespaced
             // exactly like the final `--metrics` document.
-            let (qs, ins_h, ext_h) = (Arc::clone(&q), Arc::clone(&obs_ins), Arc::clone(&obs_ext));
+            let (qs, ins_h, ext_h) = (Arc::clone(&q), Arc::clone(&ins), Arc::clone(&ext));
             let prefix = format!("{kind}/");
             bench::metrics::set_live_source(move || {
                 let mut s = obs::Snapshot::new();
@@ -125,7 +121,6 @@ fn main() {
         std::thread::scope(|s| {
             for t in 0..threads as u64 {
                 let (q, ins, ext) = (&q, &ins, &ext);
-                let (obs_ins, obs_ext) = (&obs_ins, &obs_ext);
                 s.spawn(move || {
                     let mut x = 0x9E37 + t;
                     for i in 0..per_thread {
@@ -135,19 +130,11 @@ fn main() {
                         if i % 2 == 0 {
                             let t0 = Instant::now();
                             q.insert(x % (1 << 20), x);
-                            let dt = t0.elapsed();
-                            ins.record(dt);
-                            if record_obs {
-                                obs_ins.record_duration(dt);
-                            }
+                            ins.record_duration(t0.elapsed());
                         } else {
                             let t0 = Instant::now();
                             let got = q.extract_max();
-                            let dt = t0.elapsed();
-                            ext.record(dt);
-                            if record_obs {
-                                obs_ext.record_duration(dt);
-                            }
+                            ext.record_duration(t0.elapsed());
                             std::hint::black_box(got);
                         }
                     }
@@ -161,11 +148,11 @@ fn main() {
             println!(
                 "{name},{op},{},{:.0},{},{},{},{}",
                 h.count(),
-                h.mean_ns(),
-                h.percentile_ns(0.50),
-                h.percentile_ns(0.99),
-                h.percentile_ns(0.999),
-                h.max_ns()
+                h.mean(),
+                h.quantile(0.50),
+                h.quantile(0.99),
+                h.quantile(0.999),
+                h.max()
             );
         }
         // Stop the samplers even when only serving (no `--metrics`):
@@ -173,8 +160,8 @@ fn main() {
         let depth_series = sampler.map(|s| s.stop());
         let rank_series = rank_sampler.map(|(s, _retain)| s.stop());
         if metrics.is_some() {
-            all.push_hist(&format!("{kind}/insert_ns"), &obs_ins);
-            all.push_hist(&format!("{kind}/extract_ns"), &obs_ext);
+            all.push_hist(&format!("{kind}/insert_ns"), &ins);
+            all.push_hist(&format!("{kind}/extract_ns"), &ext);
             if let Some(qm) = q.metrics() {
                 all.merge_prefixed(&format!("{kind}/"), qm);
             }
@@ -189,8 +176,8 @@ fn main() {
             let tput = ops as f64 / wall.as_secs_f64();
             all.push_summary(&format!("{kind}/throughput_ops_per_s"), tput);
             for (op, h) in [("insert", &ins), ("extract", &ext)] {
-                all.push_summary(&format!("{kind}/{op}_p50_ns"), h.percentile_ns(0.50) as f64);
-                all.push_summary(&format!("{kind}/{op}_p99_ns"), h.percentile_ns(0.99) as f64);
+                all.push_summary(&format!("{kind}/{op}_p50_ns"), h.quantile(0.50) as f64);
+                all.push_summary(&format!("{kind}/{op}_p99_ns"), h.quantile(0.99) as f64);
             }
             bench::metrics::push_rank_summary(&mut all, &format!("{kind}/"));
         }

@@ -32,7 +32,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use crate::hist::Histogram;
+use crate::hist::{HistSnapshot, Histogram};
 use crate::recorder::now_ns;
 use crate::snapshot::Snapshot;
 
@@ -301,9 +301,32 @@ impl RankEstimator {
         &self.staleness_ns
     }
 
-    /// Export everything as `quality.*` metrics into `snap`.
-    pub fn snapshot_into(&self, snap: &mut Snapshot) {
-        let (si, st, dr, se, ma, mi, sr, rm, rs) = self.counters();
+    /// Export `quality.*` metrics into `snap`, folded over `ests`: one
+    /// queue's estimator, or one per shard of a sharded queue. Counters,
+    /// reservoir gauges and histograms are summed; the sample shift is
+    /// the first estimator's (shards share one configuration). Exports
+    /// nothing when `ests` is empty.
+    pub fn export<'a>(ests: impl IntoIterator<Item = &'a RankEstimator>, snap: &mut Snapshot) {
+        let mut ests = ests.into_iter().peekable();
+        let Some(shift) = ests.peek().map(|est| est.shift) else {
+            return;
+        };
+        let mut c = [0u64; 9];
+        let (mut wasted, mut live, mut slots) = (0u64, 0usize, 0usize);
+        let mut est_rank = HistSnapshot::default();
+        let mut staleness = HistSnapshot::default();
+        for est in ests {
+            let (si, st, dr, se, ma, mi, sr, rm, rs) = est.counters();
+            for (dst, v) in c.iter_mut().zip([si, st, dr, se, ma, mi, sr, rm, rs]) {
+                *dst += v;
+            }
+            wasted += est.wasted();
+            live += est.live();
+            slots += est.slots();
+            est_rank.absorb(&est.est_rank.snapshot());
+            staleness.absorb(&est.staleness_ns.snapshot());
+        }
+        let [si, st, dr, se, ma, mi, sr, rm, rs] = c;
         snap.push_counter("quality.sampled_inserts", si);
         snap.push_counter("quality.sampled_extracts", se);
         snap.push_counter("quality.matched", ma);
@@ -313,10 +336,9 @@ impl RankEstimator {
         snap.push_counter("quality.removed", sr);
         snap.push_counter("quality.removed_matched", rm);
         snap.push_counter("quality.removed_missed", rs);
-        snap.push_gauge("quality.reservoir.live", self.live() as i64);
-        snap.push_gauge("quality.reservoir.slots", self.slots() as i64);
-        snap.push_gauge("quality.sample_shift", u64::from(self.shift) as i64);
-        let wasted = self.wasted();
+        snap.push_gauge("quality.reservoir.live", live as i64);
+        snap.push_gauge("quality.reservoir.slots", slots as i64);
+        snap.push_gauge("quality.sample_shift", u64::from(shift) as i64);
         snap.push_ratio(
             "quality.wasted_ratio",
             if se == 0 {
@@ -325,8 +347,8 @@ impl RankEstimator {
                 wasted as f64 / se as f64
             },
         );
-        snap.push_hist("quality.est_rank", &self.est_rank);
-        snap.push_hist("quality.staleness_ns", &self.staleness_ns);
+        snap.push_hist_snapshot("quality.est_rank", est_rank);
+        snap.push_hist_snapshot("quality.staleness_ns", staleness);
     }
 }
 
@@ -459,7 +481,7 @@ mod tests {
         est.note_insert(7);
         est.note_extract(7);
         let mut s = Snapshot::new();
-        est.snapshot_into(&mut s);
+        RankEstimator::export([&est], &mut s);
         assert_eq!(s.counter("quality.sampled_inserts"), Some(1));
         assert_eq!(s.counter("quality.matched"), Some(1));
         assert_eq!(s.gauge("quality.reservoir.live"), Some(0));

@@ -31,7 +31,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::hist::Histogram;
+use crate::hist::{HistSnapshot, Histogram};
 use crate::metrics::Counter;
 use crate::recorder::now_ns;
 use crate::snapshot::Snapshot;
@@ -225,19 +225,41 @@ impl SojournTracker {
         )
     }
 
-    /// Export `queue.sojourn_ns` plus the `sojourn.*` accounting into a
-    /// snapshot.
-    pub fn snapshot_into(&self, s: &mut Snapshot) {
-        let (stamped, matched, missed, dropped, removed) = self.counters();
-        s.push_hist("queue.sojourn_ns", &self.hist);
+    /// Export `queue.sojourn_ns` plus the `sojourn.*` accounting into
+    /// `s`, folded over `trackers`: one queue's tracker, or one per shard
+    /// of a sharded queue. Counters, table gauges and the histogram are
+    /// summed; the sample shift is the first tracker's. Exports nothing
+    /// when `trackers` is empty.
+    pub fn export<'a>(trackers: impl IntoIterator<Item = &'a SojournTracker>, s: &mut Snapshot) {
+        let mut trackers = trackers.into_iter().peekable();
+        let Some(shift) = trackers.peek().map(|t| t.shift) else {
+            return;
+        };
+        let mut c = [0u64; 5];
+        let (mut live, mut slots) = (0usize, 0usize);
+        let mut hist = HistSnapshot::default();
+        for t in trackers {
+            let (stamped, matched, missed, dropped, removed) = t.counters();
+            for (dst, v) in c
+                .iter_mut()
+                .zip([stamped, matched, missed, dropped, removed])
+            {
+                *dst += v;
+            }
+            live += t.live();
+            slots += t.slots();
+            hist.absorb(&t.hist.snapshot());
+        }
+        let [stamped, matched, missed, dropped, removed] = c;
+        s.push_hist_snapshot("queue.sojourn_ns", hist);
         s.push_counter("sojourn.stamped", stamped);
         s.push_counter("sojourn.matched", matched);
         s.push_counter("sojourn.missed", missed);
         s.push_counter("sojourn.dropped", dropped);
         s.push_counter("sojourn.removed", removed);
-        s.push_gauge("sojourn.sample_shift", i64::from(self.shift));
-        s.push_gauge("sojourn.table.live", self.live() as i64);
-        s.push_gauge("sojourn.table.slots", self.slots() as i64);
+        s.push_gauge("sojourn.sample_shift", i64::from(shift));
+        s.push_gauge("sojourn.table.live", live as i64);
+        s.push_gauge("sojourn.table.slots", slots as i64);
     }
 }
 
@@ -358,7 +380,7 @@ mod tests {
         t.note_insert(1);
         t.note_extract(1);
         let mut s = Snapshot::new();
-        t.snapshot_into(&mut s);
+        SojournTracker::export([&t], &mut s);
         assert!(s.hist("queue.sojourn_ns").is_some());
         assert_eq!(s.counter("sojourn.stamped"), Some(1));
         assert_eq!(s.counter("sojourn.matched"), Some(1));

@@ -536,11 +536,19 @@ mod tests {
         }
     }
 
+    /// Also run with one slot: maximal contention on the single futex
+    /// word.
     #[test]
     fn many_consumers_all_drain_and_exit_on_close() {
+        for slots in [4, 1] {
+            many_consumers_drain_and_exit(slots);
+        }
+    }
+
+    fn many_consumers_drain_and_exit(slots: usize) {
         const CONSUMERS: usize = 8;
         const ITEMS: u64 = 10_000;
-        let ev = Arc::new(EventBuffer::with_slots(4));
+        let ev = Arc::new(EventBuffer::with_slots(slots));
         let items = Arc::new(AtomicU64::new(0));
         let taken = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();

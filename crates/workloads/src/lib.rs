@@ -10,8 +10,6 @@
 //!   latency and CPU-time measurement (Figs. 4, 6).
 //! * [`accuracy`] — rank-quality measurement (Table 1).
 //! * [`cpu`] — process CPU-time sampling via `getrusage` (Fig. 4b).
-//! * [`latency`] — a concurrent log-bucketed histogram for tail-latency
-//!   reporting beyond the paper's means.
 //! * [`oracle`] — quiescent-consistency and rank-error oracles shared by
 //!   the deterministic schedule suite and the stress tests.
 //! * [`quality`] — seeded estimator-vs-oracle harness validating the
@@ -23,7 +21,6 @@
 pub mod accuracy;
 pub mod cpu;
 pub mod keys;
-pub mod latency;
 pub mod mixed;
 pub mod oracle;
 pub mod prodcons;

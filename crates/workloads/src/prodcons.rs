@@ -15,7 +15,6 @@ use zmsq::{NodeSet, RawTryLock, Zmsq};
 
 use crate::cpu::measure_cpu;
 use crate::keys::{KeyDist, KeyStream};
-use crate::latency::LatencyHistogram;
 
 /// Parameters for a producer/consumer run.
 #[derive(Clone)]
@@ -73,7 +72,7 @@ fn run_inner(
     let producers = cfg.producers.max(1);
     let consumers = cfg.consumers.max(1);
     let received = AtomicU64::new(0);
-    let latencies = LatencyHistogram::new();
+    let latencies = obs::Histogram::new();
     let misses = AtomicU64::new(0);
     let epoch = Instant::now();
 
@@ -102,7 +101,7 @@ fn run_inner(
                         match extract() {
                             Some((_, stamp)) => {
                                 let now = epoch.elapsed().as_nanos() as u64;
-                                latencies.record_ns(now.saturating_sub(stamp));
+                                latencies.record(now.saturating_sub(stamp));
                                 if received.fetch_add(1, Ordering::AcqRel) + 1 == total {
                                     break;
                                 }
@@ -140,9 +139,9 @@ fn run_inner(
         elapsed,
         cpu_time,
         received: got,
-        mean_handoff_ns: latencies.mean_ns(),
-        p50_handoff_ns: latencies.percentile_ns(0.50),
-        p99_handoff_ns: latencies.percentile_ns(0.99),
+        mean_handoff_ns: latencies.mean(),
+        p50_handoff_ns: latencies.quantile(0.50),
+        p99_handoff_ns: latencies.quantile(0.99),
         misses: misses.into_inner(),
     }
 }

@@ -82,6 +82,10 @@ impl Default for QualityOpts {
 }
 
 /// Tuning and feature configuration for a [`Zmsq`](crate::Zmsq).
+///
+/// What is not here is fixed: the tree starts 4 levels deep (one below
+/// the forced-insertion floor, so forced insertion is available at
+/// once), and the consumer and producer futex buffers have 16 slots.
 #[derive(Debug, Clone)]
 pub struct ZmsqConfig {
     /// Upper bound on the number of elements moved to the shared pool per
@@ -109,14 +113,8 @@ pub struct ZmsqConfig {
     /// Pool reclamation mode (§3.5).
     pub reclamation: Reclamation,
     /// Enable the futex blocking layer (§3.6). `insert` then signals a
-    /// circular futex buffer and `extract_max_blocking` can park.
+    /// circular buffer of 16 futexes and `extract_max_blocking` can park.
     pub blocking: bool,
-    /// Futex slots in the blocking buffer (rounded up to a power of two).
-    pub event_slots: usize,
-    /// Depth of the initially allocated tree. Forced insertion only
-    /// applies below level 3, so the default of 4 makes it available
-    /// immediately.
-    pub initial_leaf_level: usize,
     /// §3.2 quality-mechanism ablation switches (both on by default).
     pub quality: QualityOpts,
     /// Multiplier on the number of random leaf probes per insertion
@@ -124,14 +122,6 @@ pub struct ZmsqConfig {
     /// this scales that budget). Larger values resist premature tree
     /// growth under churn at the cost of longer worst-case probing.
     pub probe_factor: usize,
-    /// Experimental (§5 future work): let `insert` place an element
-    /// directly into the extraction pool when its priority is at least
-    /// the pool's current best, so it can be extracted immediately
-    /// without waiting for the next refill. Preserves conservation and
-    /// the pool's descending hand-out order; slightly blurs the formal
-    /// `k × batch` window bound (the fast-inserted element displaces one
-    /// pool claim). Off by default.
-    pub pool_fast_insert: bool,
     /// Upper bound on the number of live elements. `None` (the default)
     /// is the paper's unbounded queue. `Some(n)` makes insertion subject
     /// to admission control: when `n` elements are live, the
@@ -179,11 +169,8 @@ impl ZmsqConfig {
             lock_strategy: LockStrategy::TryRestart,
             reclamation: Reclamation::Hazard,
             blocking: false,
-            event_slots: 16,
-            initial_leaf_level: 4,
             quality: QualityOpts::default(),
             probe_factor: 1,
-            pool_fast_insert: false,
             capacity: None,
             shed: ShedPolicy::Block,
             rank_estimator: Some(6),
@@ -283,12 +270,6 @@ impl ZmsqConfig {
         self
     }
 
-    /// Enable the experimental direct-to-pool insertion (builder style).
-    pub fn pool_fast_insert(mut self, on: bool) -> Self {
-        self.pool_fast_insert = on;
-        self
-    }
-
     /// Bound the queue at `n` live elements (builder style). Insertions
     /// beyond the bound are governed by the [`shed`](Self::shed_policy)
     /// policy. `n` is clamped to at least 1 during normalization.
@@ -367,10 +348,6 @@ impl ZmsqConfig {
         } else {
             self.batch_min = self.batch_min.max(1);
         }
-        self.initial_leaf_level = self
-            .initial_leaf_level
-            .clamp(1, crate::tree::MAX_LEVELS - 1);
-        self.event_slots = self.event_slots.max(1);
         self.probe_factor = self.probe_factor.max(1);
         // A zero capacity would admit nothing — Block would deadlock the
         // first producer forever. One live element is the smallest bound
@@ -426,13 +403,6 @@ mod tests {
             .normalized();
         assert_eq!(c.target_len, 1);
         assert_eq!(c.batch, 2, "batch clamped to 2 * target_len");
-
-        let c = ZmsqConfig {
-            initial_leaf_level: 99,
-            ..ZmsqConfig::recommended()
-        }
-        .normalized();
-        assert!(c.initial_leaf_level < crate::tree::MAX_LEVELS);
     }
 
     #[test]

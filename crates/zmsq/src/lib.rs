@@ -175,12 +175,8 @@ impl<V: Send + 'static, S: NodeSet<V> + 'static, L: RawTryLock + 'static>
                 self.producer_waiters() as i64,
             );
         }
-        if let Some(est) = self.rank_estimator() {
-            est.snapshot_into(&mut s);
-        }
-        if let Some(soj) = self.sojourn_tracker() {
-            soj.snapshot_into(&mut s);
-        }
+        obs::RankEstimator::export(self.rank_estimator(), &mut s);
+        obs::SojournTracker::export(self.sojourn_tracker(), &mut s);
         Some(s)
     }
 }

@@ -722,96 +722,23 @@ impl<V: Send + 'static, S: NodeSet<V> + 'static, L: RawTryLock + 'static>
             snap.push_counter(&format!("zmsq.shard.{i}.inserts"), st.inserts);
             snap.push_counter(&format!("zmsq.shard.{i}.extracts"), st.extracts);
         }
-        // Fold per-shard quality telemetry into one queue-level view
-        // (same `quality.*` names as a single Zmsq, so dashboards and
-        // the perf gate read both uniformly). Per-shard ranks are
+        // Fold per-shard quality and sojourn telemetry into one
+        // queue-level view (same names as a single Zmsq, so dashboards
+        // and the perf gate read both uniformly). Per-shard ranks are
         // measured against the shard's own population; the composed
         // cross-shard rank error additionally carries the two-choice
         // tail, so this fold is a *lower bound* on global rank error.
-        if self.core.shards[0].rank_estimator().is_some() {
-            let mut c = [0u64; 9];
-            let mut wasted = 0u64;
-            let (mut live, mut slots) = (0usize, 0usize);
-            let mut est_rank = obs::HistSnapshot::default();
-            let mut staleness = obs::HistSnapshot::default();
-            for sh in &self.core.shards {
-                let est = sh.rank_estimator().expect("uniform shard config");
-                let (si, st, dr, se, ma, mi, sr, rm, rs) = est.counters();
-                for (dst, v) in c.iter_mut().zip([si, st, dr, se, ma, mi, sr, rm, rs]) {
-                    *dst += v;
-                }
-                wasted += est.wasted();
-                live += est.live();
-                slots += est.slots();
-                est_rank.absorb(&est.est_rank_hist().snapshot());
-                staleness.absorb(&est.staleness_hist().snapshot());
-            }
-            snap.push_counter("quality.sampled_inserts", c[0]);
-            snap.push_counter("quality.sampled_extracts", c[3]);
-            snap.push_counter("quality.matched", c[4]);
-            snap.push_counter("quality.missed", c[5]);
-            snap.push_counter("quality.dropped", c[2]);
-            snap.push_counter("quality.stored", c[1]);
-            snap.push_counter("quality.removed", c[6]);
-            snap.push_counter("quality.removed_matched", c[7]);
-            snap.push_counter("quality.removed_missed", c[8]);
-            snap.push_gauge("quality.reservoir.live", live as i64);
-            snap.push_gauge("quality.reservoir.slots", slots as i64);
-            snap.push_gauge(
-                "quality.sample_shift",
-                u64::from(
-                    self.core.shards[0]
-                        .rank_estimator()
-                        .expect("checked")
-                        .sample_shift(),
-                ) as i64,
-            );
-            snap.push_ratio(
-                "quality.wasted_ratio",
-                if c[3] == 0 {
-                    0.0
-                } else {
-                    wasted as f64 / c[3] as f64
-                },
-            );
-            snap.push_hist_snapshot("quality.est_rank", est_rank);
-            snap.push_hist_snapshot("quality.staleness_ns", staleness);
-        }
-        // Fold per-shard sojourn telemetry the same way: one queue-level
-        // `queue.sojourn_ns` histogram (per-shard sojourns are true
-        // end-to-end waits regardless of which shard served the key).
-        if self.core.shards[0].sojourn_tracker().is_some() {
-            let mut c = [0u64; 5];
-            let (mut live, mut slots) = (0usize, 0usize);
-            let mut sojourn = obs::HistSnapshot::default();
-            for sh in &self.core.shards {
-                let soj = sh.sojourn_tracker().expect("uniform shard config");
-                let (st, ma, mi, dr, rm) = soj.counters();
-                for (dst, v) in c.iter_mut().zip([st, ma, mi, dr, rm]) {
-                    *dst += v;
-                }
-                live += soj.live();
-                slots += soj.slots();
-                sojourn.absorb(&soj.hist().snapshot());
-            }
-            snap.push_hist_snapshot("queue.sojourn_ns", sojourn);
-            snap.push_counter("sojourn.stamped", c[0]);
-            snap.push_counter("sojourn.matched", c[1]);
-            snap.push_counter("sojourn.missed", c[2]);
-            snap.push_counter("sojourn.dropped", c[3]);
-            snap.push_counter("sojourn.removed", c[4]);
-            snap.push_gauge(
-                "sojourn.sample_shift",
-                i64::from(
-                    self.core.shards[0]
-                        .sojourn_tracker()
-                        .expect("checked")
-                        .sample_shift(),
-                ),
-            );
-            snap.push_gauge("sojourn.table.live", live as i64);
-            snap.push_gauge("sojourn.table.slots", slots as i64);
-        }
+        // Per-shard sojourns are true end-to-end waits regardless of
+        // which shard served the key.
+        let shards = &self.core.shards;
+        obs::RankEstimator::export(
+            shards.iter().filter_map(|sh| sh.rank_estimator()),
+            &mut snap,
+        );
+        obs::SojournTracker::export(
+            shards.iter().filter_map(|sh| sh.sojourn_tracker()),
+            &mut snap,
+        );
         Some(snap)
     }
 }
@@ -1217,6 +1144,43 @@ mod tests {
         let removed = snap.counter("sojourn.removed").unwrap();
         let live = snap.gauge("sojourn.table.live").unwrap() as u64;
         assert_eq!(stamped - matched - removed, live);
+    }
+
+    #[test]
+    fn metrics_fold_exports_single_queue_names() {
+        use pq_traits::ConcurrentPriorityQueue as Pq;
+        fn telemetry_names(s: obs::Snapshot) -> Vec<String> {
+            let mut names: Vec<String> = (s.counters.iter().map(|(n, _)| n))
+                .chain(s.gauges.iter().map(|(n, _)| n))
+                .chain(s.ratios.iter().map(|(n, _)| n))
+                .chain(s.hists.iter().map(|(n, _)| n))
+                .filter(|n| {
+                    n.starts_with("quality.")
+                        || n.starts_with("sojourn.")
+                        || *n == "queue.sojourn_ns"
+                })
+                .cloned()
+                .collect();
+            names.sort();
+            names
+        }
+        let cfg = ZmsqConfig::default().batch(4).rank_estimator(0).sojourn(0);
+        let sharded: ShardedZmsq<u64> = ShardedZmsq::new(2, cfg.clone());
+        let single: Zmsq<u64> = Zmsq::with_config(cfg);
+        for i in 0..50u64 {
+            sharded.insert(i, i);
+            single.insert(i, i);
+        }
+        for _ in 0..20 {
+            assert!(sharded.extract_max().is_some());
+            assert!(single.extract_max().is_some());
+        }
+        let single_names = telemetry_names(Pq::metrics(&single).unwrap());
+        assert!(single_names.len() > 20, "{single_names:?}");
+        assert_eq!(
+            telemetry_names(Pq::metrics(&sharded).unwrap()),
+            single_names
+        );
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub(crate) struct Stats {
     pub insert_retries: Striped,
     pub forced_inserts: Striped,
     pub min_swap_inserts: Striped,
-    pub fast_pool_inserts: Striped,
     pub splits: Striped,
     pub tree_grows: Striped,
     pub extracts: Striped,
@@ -58,9 +57,6 @@ pub struct StatsSnapshot {
     pub forced_inserts: u64,
     /// Inserts that applied the parent-min swap quality optimization.
     pub min_swap_inserts: u64,
-    /// Inserts placed directly into the extraction pool (§5 future work;
-    /// requires `ZmsqConfig::pool_fast_insert`).
-    pub fast_pool_inserts: u64,
     /// Oversized-set splits pushed down to children.
     pub splits: u64,
     /// Tree depth expansions.
@@ -109,7 +105,6 @@ impl Stats {
             insert_retries: self.insert_retries.sum(),
             forced_inserts: self.forced_inserts.sum(),
             min_swap_inserts: self.min_swap_inserts.sum(),
-            fast_pool_inserts: self.fast_pool_inserts.sum(),
             splits: self.splits.sum(),
             tree_grows: self.tree_grows.sum(),
             extracts: self.extracts.sum(),
@@ -138,7 +133,6 @@ impl StatsSnapshot {
             insert_retries,
             forced_inserts,
             min_swap_inserts,
-            fast_pool_inserts,
             splits,
             tree_grows,
             extracts,
@@ -158,7 +152,6 @@ impl StatsSnapshot {
         self.insert_retries += insert_retries;
         self.forced_inserts += forced_inserts;
         self.min_swap_inserts += min_swap_inserts;
-        self.fast_pool_inserts += fast_pool_inserts;
         self.splits += splits;
         self.tree_grows += tree_grows;
         self.extracts += extracts;
@@ -199,7 +192,6 @@ impl StatsSnapshot {
         s.push_counter("zmsq.insert_retries", self.insert_retries);
         s.push_counter("zmsq.forced_inserts", self.forced_inserts);
         s.push_counter("zmsq.min_swap_inserts", self.min_swap_inserts);
-        s.push_counter("zmsq.fast_pool_inserts", self.fast_pool_inserts);
         s.push_counter("zmsq.splits", self.splits);
         s.push_counter("zmsq.tree_grows", self.tree_grows);
         s.push_counter("zmsq.extracts", self.extracts);

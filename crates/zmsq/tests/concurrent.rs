@@ -6,14 +6,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use zmsq::{ShedPolicy, Zmsq, ZmsqConfig};
 
 /// Tiny target_len + many elements forces the tree through repeated
-/// expansions (several levels past the initial depth) while concurrent
-/// extractions shrink sets from the top.
+/// expansions (several levels past the initial depth of 4) while
+/// concurrent extractions shrink sets from the top.
 #[test]
 fn deep_tree_growth_under_concurrency() {
-    let mut q: Zmsq<u64> = Zmsq::with_config(ZmsqConfig {
-        initial_leaf_level: 1,
-        ..ZmsqConfig::default().batch(2).target_len(2)
-    });
+    let mut q: Zmsq<u64> = Zmsq::with_config(ZmsqConfig::default().batch(2).target_len(2));
     const THREADS: u64 = 4;
     const PER: u64 = 15_000;
     std::thread::scope(|s| {
@@ -66,40 +63,6 @@ fn oversubscribed_threads() {
     });
     let rest = q.drain_count() as u64;
     assert_eq!(popped.into_inner() + rest, THREADS * PER);
-}
-
-/// One-slot event buffer: maximal contention on the single futex word.
-#[test]
-fn blocking_with_single_event_slot() {
-    let q: Zmsq<u64> = Zmsq::with_config(ZmsqConfig {
-        event_slots: 1,
-        ..ZmsqConfig::default().batch(4).target_len(8).blocking(true)
-    });
-    const ITEMS: u64 = 5_000;
-    let got = AtomicU64::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..3 {
-            let q = &q;
-            let got = &got;
-            s.spawn(move || {
-                while q.extract_max_blocking().is_some() {
-                    got.fetch_add(1, Ordering::SeqCst);
-                }
-            });
-        }
-        let q2 = &q;
-        let got2 = &got;
-        s.spawn(move || {
-            for i in 0..ITEMS {
-                q2.insert(i % 97, i);
-            }
-            while got2.load(Ordering::SeqCst) < ITEMS {
-                std::thread::yield_now();
-            }
-            q2.close();
-        });
-    });
-    assert_eq!(got.into_inner(), ITEMS);
 }
 
 /// Alternating full drains: the queue repeatedly transitions through
