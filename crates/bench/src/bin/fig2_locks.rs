@@ -15,7 +15,9 @@
 use bench::cli::Args;
 use workloads::keys::KeyDist;
 use workloads::mixed::{run_mixed, MixedConfig};
-use zmsq::{LockStrategy, OsLock, RawTryLock, TasLock, TatasLock, Zmsq, ZmsqConfig};
+use zmsq::{
+    LockStrategy, OsLock, RawTryLock, Reclamation, TasLock, TatasLock, Zmsq, ZmsqConfig,
+};
 
 fn run_one<L: RawTryLock + 'static>(
     strategy: LockStrategy,
@@ -24,7 +26,9 @@ fn run_one<L: RawTryLock + 'static>(
     ops: u64,
     stats: bool,
 ) -> (f64, String) {
+    // The paper's ZMSQ arm: hazard-pointer pool, not the default ring.
     let cfg = ZmsqConfig::default()
+        .reclamation(Reclamation::Hazard)
         .batch(32)
         .target_len(32)
         .lock_strategy(strategy);

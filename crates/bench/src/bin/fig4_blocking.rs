@@ -11,7 +11,12 @@
 use bench::cli::Args;
 use workloads::keys::KeyDist;
 use workloads::prodcons::{run_prodcons_blocking, run_prodcons_spin, ProdConsConfig};
-use zmsq::{Zmsq, ZmsqConfig};
+use zmsq::{Reclamation, Zmsq, ZmsqConfig};
+
+/// The paper's ZMSQ arm: hazard-pointer pool, not the default ring.
+fn paper_zmsq() -> ZmsqConfig {
+    ZmsqConfig::default().reclamation(Reclamation::Hazard)
+}
 
 fn main() {
     let args = Args::parse();
@@ -48,7 +53,7 @@ fn main() {
         };
         // Spinning consumers.
         {
-            let q: Zmsq<u64> = Zmsq::with_config(ZmsqConfig::default().batch(32).target_len(48));
+            let q: Zmsq<u64> = Zmsq::with_config(paper_zmsq().batch(32).target_len(48));
             let r = run_prodcons_spin(&q, &cfg);
             assert_eq!(r.received, items);
             println!(
@@ -63,7 +68,7 @@ fn main() {
         // Blocking consumers (futex buffer of §3.6).
         {
             let q: Zmsq<u64> = Zmsq::with_config(
-                ZmsqConfig::default()
+                paper_zmsq()
                     .batch(32)
                     .target_len(48)
                     .blocking(true),

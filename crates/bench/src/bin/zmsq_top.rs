@@ -146,6 +146,9 @@ fn render(prev: &Snapshot, cur: &Snapshot, dt: Duration) -> String {
     for (name, len) in by_suffix(&cur.gauges, "zmsq.len_hint") {
         out.push_str(&format!("  len_hint     {len}  [{name}]\n"));
     }
+    for (name, bufs) in by_suffix(&cur.gauges, "zmsq.pool.buffers") {
+        out.push_str(&format!("  pool_bufs    {bufs}  [{name}]\n"));
+    }
 
     // Shed ratio: dropped arrivals over total arrivals, cumulative.
     let shed = {
@@ -277,6 +280,7 @@ mod tests {
         s.push_counter("zmsq/queue.shed.evicted", 0);
         s.push_gauge("zmsq/queue.pressure.occupancy", 50);
         s.push_gauge("zmsq/queue.pressure.capacity", 100);
+        s.push_gauge("zmsq/zmsq.pool.buffers", 2);
         let h = obs::Histogram::new();
         for v in [10u64, 20, 30] {
             h.record(v);
@@ -295,6 +299,7 @@ mod tests {
         assert!(frame.contains("2.0k/s"), "{frame}");
         assert!(frame.contains("1.0k/s"), "{frame}");
         assert!(frame.contains("occupancy    50/100 (50%)"), "{frame}");
+        assert!(frame.contains("pool_bufs    2"), "{frame}");
         assert!(frame.contains("est_rank"), "{frame}");
         assert!(frame.contains("sojourn"), "{frame}");
         assert!(frame.contains("zmsq.root"), "{frame}");

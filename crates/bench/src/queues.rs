@@ -51,14 +51,17 @@ pub fn make_zmsq_set<V: Send + 'static>(
 ///
 /// `zmsq` and its `-leak`/`-wait`/`-strict` variants are the paper's
 /// list-set queue, pinned explicitly so the paper figures do not follow
-/// `Zmsq`'s default set (the sorted ring, `zmsq-deque`). The sharded
-/// kinds use the default.
+/// `Zmsq`'s default set (the sorted ring, `zmsq-deque`). `zmsq`,
+/// `zmsq-array` and `zmsq-deque` are likewise pinned to the paper's
+/// hazard-pointer pool ("ZMSQ"), not the default buffer ring (`-wait`).
+/// The sharded kinds use the default.
 pub fn make_queue<V: Send + 'static>(kind: &str, threads: usize) -> BoxedQueue<V> {
     let default = ZmsqConfig::default(); // batch=48, targetLen=72 (§4.2)
+    let hazard = || ZmsqConfig::default().reclamation(Reclamation::Hazard);
     match kind {
-        "zmsq" => Box::new(ZmsqList::<V>::with_config(default)),
-        "zmsq-array" => Box::new(Zmsq::<V, ArraySet<V>, TatasLock>::with_config(default)),
-        "zmsq-deque" => Box::new(Zmsq::<V, DequeSet<V>, TatasLock>::with_config(default)),
+        "zmsq" => Box::new(ZmsqList::<V>::with_config(hazard())),
+        "zmsq-array" => Box::new(Zmsq::<V, ArraySet<V>, TatasLock>::with_config(hazard())),
+        "zmsq-deque" => Box::new(Zmsq::<V, DequeSet<V>, TatasLock>::with_config(hazard())),
         "zmsq-leak" => Box::new(ZmsqList::<V>::with_config(
             default.reclamation(Reclamation::Leak),
         )),
@@ -166,8 +169,14 @@ mod tests {
             assert_eq!(got, vec![5, 9], "{kind} lost elements");
             assert!(!q.name().is_empty());
         }
-        // The paper arms measure the list set whatever `Zmsq`'s default is.
+        // The paper arms measure the list set and hazard pointers,
+        // whatever `Zmsq`'s defaults are.
         assert_eq!(make_queue::<u64>("zmsq", 2).name(), "zmsq-list");
+        assert_eq!(make_queue::<u64>("zmsq-array", 2).name(), "zmsq-array");
+        assert_eq!(make_queue::<u64>("zmsq-deque", 2).name(), "zmsq-deque");
+        assert_eq!(make_queue::<u64>("zmsq-leak", 2).name(), "zmsq-list-leak");
+        assert_eq!(make_queue::<u64>("zmsq-wait", 2).name(), "zmsq-list-wait");
+        assert_eq!(make_queue::<u64>("zmsq-strict", 2).name(), "zmsq-list-strict");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The hazard-pointer domain.
 
 use std::cell::{Cell, RefCell, UnsafeCell};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -77,8 +78,9 @@ unsafe impl Sync for DomainCore {}
 
 impl Drop for DomainCore {
     fn drop(&mut self) {
-        // No TLS cache entry or HazardPointer can exist (each holds an Arc
-        // to this core), so no hazard can be published: free everything.
+        // No TLS cache entry or HazardPointer can exist (a TLS entry holds
+        // an Arc to this core, a HazardPointer borrows a `Domain` that
+        // does), so no hazard can be published: free everything.
         let mut rec = *self.head.get_mut();
         while !rec.is_null() {
             // SAFETY: records are only freed here, and `rec` came from
@@ -213,13 +215,15 @@ impl Domain {
         rec
     }
 
-    /// Acquire a hazard slot for the calling thread.
+    /// Acquire a hazard slot for the calling thread. The slot borrows
+    /// the domain, so acquiring and releasing it touch only the thread's
+    /// own record, not the domain's shared reference count.
     ///
     /// # Panics
     ///
     /// If the thread already holds [`SLOTS_PER_RECORD`] simultaneous
     /// hazard pointers in this domain.
-    pub fn hazard(&self) -> HazardPointer {
+    pub fn hazard(&self) -> HazardPointer<'_> {
         let record = self.thread_record();
         // SAFETY: we are the owner thread of `record`.
         let rec = unsafe { &*record };
@@ -231,7 +235,7 @@ impl Domain {
         );
         rec.slot_bitmap.set(bitmap | (1 << idx));
         HazardPointer {
-            core: Arc::clone(&self.core),
+            _domain: PhantomData,
             record,
             idx,
         }
@@ -352,18 +356,19 @@ impl std::fmt::Debug for Domain {
     }
 }
 
-/// An acquired hazard slot. Not `Send`: it belongs to the acquiring
-/// thread's record.
-pub struct HazardPointer {
-    core: Arc<DomainCore>,
+/// An acquired hazard slot, borrowed from its [`Domain`]. Not `Send`: it
+/// belongs to the acquiring thread's record.
+pub struct HazardPointer<'d> {
+    /// The borrow keeps the domain core, and with it `record`, alive.
+    _domain: PhantomData<&'d Domain>,
     record: *mut HpRecord,
     idx: usize,
 }
 
-impl HazardPointer {
+impl HazardPointer<'_> {
     #[inline]
     fn slot(&self) -> &AtomicPtr<u8> {
-        // SAFETY: the record lives as long as `self.core`.
+        // SAFETY: the record lives as long as the borrowed domain's core.
         unsafe { &(*self.record).slots[self.idx] }
     }
 
@@ -418,18 +423,17 @@ impl HazardPointer {
     }
 }
 
-impl Drop for HazardPointer {
+impl Drop for HazardPointer<'_> {
     fn drop(&mut self) {
-        // SAFETY: owner-thread; record outlives via `core`.
+        // SAFETY: owner-thread; the record outlives the borrowed domain.
         let rec = unsafe { &*self.record };
         rec.slots[self.idx].store(std::ptr::null_mut(), Ordering::Release);
         rec.slot_bitmap
             .set(rec.slot_bitmap.get() & !(1 << self.idx));
-        let _ = &self.core; // keep-alive is the Arc itself
     }
 }
 
-impl std::fmt::Debug for HazardPointer {
+impl std::fmt::Debug for HazardPointer<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HazardPointer")
             .field("slot", &self.idx)

@@ -25,8 +25,9 @@
 //! claims a record by CAS-ing its `active` flag, caches the claim in TLS,
 //! and releases it (for reuse by other threads) when the thread exits.
 //! Records are only freed when the domain itself is dropped; the domain
-//! core is reference-counted from every TLS cache entry and every live
-//! [`HazardPointer`], so records can never dangle.
+//! core is reference-counted from every TLS cache entry and every
+//! [`Domain`] handle, and a [`HazardPointer`] borrows a handle, so
+//! records can never dangle.
 //!
 //! Retired objects stay in the retiring thread's record until the list
 //! exceeds a threshold proportional to the total number of hazard slots;

@@ -78,19 +78,6 @@ impl Backoff {
         }
         self.step = self.step.saturating_add(1);
     }
-
-    /// Spin-only wait that never yields; for very short critical sections
-    /// (e.g. the pool's lagging-consumer wait) where losing the timeslice
-    /// is worse than burning a few cycles.
-    #[inline]
-    pub fn spin(&mut self) {
-        det::det_point!("sync.backoff");
-        let spins = 1u32 << self.step.min(self.spin_limit);
-        for _ in 0..spins {
-            hint::spin_loop();
-        }
-        self.step = self.step.saturating_add(1);
-    }
 }
 
 impl Default for Backoff {
@@ -126,16 +113,6 @@ mod tests {
         // Must still be callable (OS yield path).
         b.wait();
         assert_eq!(b.steps(), 5);
-    }
-
-    #[test]
-    fn spin_never_yields_flag() {
-        let mut b = Backoff::with_limits(1, 1);
-        for _ in 0..10 {
-            b.spin();
-        }
-        // `spin` advances the counter but the caller decides about blocking.
-        assert_eq!(b.steps(), 10);
     }
 
     #[test]

@@ -1,18 +1,25 @@
 //! Queue configuration: the `batch` / `targetLen` tuning knobs of §4.2,
 //! the lock acquisition strategy of §4.1, and the reclamation mode.
 
-/// How pool buffers are reclaimed (paper §3.5 and the `ZMSQ (leak)`
-/// evaluation arm).
+/// How pool buffers are reused or reclaimed (paper §3.5 and the
+/// `ZMSQ (leak)` evaluation arm). All three are memory-safe; they differ
+/// in what a claim and a refill cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Reclamation {
     /// Swap in a fresh buffer on every refill and retire the old one into
-    /// a hazard-pointer domain. Consumers protect the buffer before
-    /// claiming — this is the memory-safe default ("ZMSQ" curves).
+    /// a hazard-pointer domain; consumers protect the buffer before
+    /// claiming. The paper's "ZMSQ" arm: one allocation and one retire
+    /// per refill, a hazard acquire and protect per claim.
     Hazard,
-    /// One buffer for the queue's lifetime; the refiller waits for lagging
-    /// consumers to finish reading before overwriting (Listing 2 line 8).
-    /// No hazard pointers on the consumer fast path; the wait is the
-    /// synchronization (§3.5's observation).
+    /// Reuse buffers in place, as Listing 2 does: a ring of buffers that
+    /// are never freed while the queue lives. A buffer is refilled once
+    /// its lagging consumers have finished reading it (Listing 2 line 8),
+    /// but the refiller checks that condition instead of waiting on it:
+    /// when every buffer still has a reader, it adds one to the ring. A
+    /// claim is one load plus the `fetch_sub`, a warm refill allocates
+    /// nothing, and the root lock is never held across a spin. The ring
+    /// holds at most one buffer per concurrent claimant plus one. The
+    /// default ([`ZmsqConfig::recommended`]).
     ConsumerWait,
     /// Swap buffers and leak the old ones ("ZMSQ (leak)" curves): isolates
     /// the cost of memory safety in benchmarks. Never use in production.
@@ -159,7 +166,8 @@ pub struct ZmsqConfig {
 impl ZmsqConfig {
     /// The paper's recommended default: `batch = 48`, `target_len = 72`
     /// (§4.2: "We recommend the static (batch=48, targetLen=72)
-    /// configuration as the default setting").
+    /// configuration as the default setting"), with the pool's buffers
+    /// reused in place ([`Reclamation::ConsumerWait`]).
     pub fn recommended() -> Self {
         Self {
             batch: 48,
@@ -167,7 +175,7 @@ impl ZmsqConfig {
             batch_max: 48,
             target_len: 72,
             lock_strategy: LockStrategy::TryRestart,
-            reclamation: Reclamation::Hazard,
+            reclamation: Reclamation::ConsumerWait,
             blocking: false,
             quality: QualityOpts::default(),
             probe_factor: 1,
@@ -382,6 +390,8 @@ mod tests {
         let c = ZmsqConfig::recommended();
         assert_eq!((c.batch, c.target_len), (48, 72));
         assert_eq!(c.lock_strategy, LockStrategy::TryRestart);
+        assert_eq!(c.reclamation, Reclamation::ConsumerWait);
+        assert_eq!(ZmsqConfig::sssp_tuned().reclamation, Reclamation::ConsumerWait);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!    during the call.
 //! 2. **Idle consumers can block** — [`Zmsq::extract_max_blocking`] parks
 //!    threads on a circular buffer of futexes (§3.6) instead of spinning.
-//! 3. **Memory safety without GC** — pool buffers are reclaimed through
-//!    hazard pointers (or the paper's lagging-consumer wait), selectable
-//!    via [`Reclamation`].
+//! 3. **Memory safety without GC** — by default pool buffers are reused in
+//!    place once their lagging consumers have read them (the paper's
+//!    Listing 2); hazard-pointer and leaking arms are selectable via
+//!    [`Reclamation`].
 //! 4. **Accuracy independent of thread count** — relaxation is bounded by
 //!    the tunable `batch` parameter: in any window of `k * batch`
 //!    consecutive extractions the top `k` elements are all returned
@@ -139,13 +140,15 @@ impl<V: Send + 'static, S: NodeSet<V> + 'static, L: RawTryLock + 'static>
 
     fn name(&self) -> String {
         let mut n = format!("zmsq-{}", S::KIND);
+        if self.config().batch == 0 {
+            // No pool, so the reclamation mode does not apply.
+            n.push_str("-strict");
+            return n;
+        }
         match self.config().reclamation {
             Reclamation::Leak => n.push_str("-leak"),
             Reclamation::ConsumerWait => n.push_str("-wait"),
             Reclamation::Hazard => {}
-        }
-        if self.config().batch == 0 {
-            n.push_str("-strict");
         }
         n
     }

@@ -11,33 +11,59 @@
 //! `next`. A claimant reserves indexes with a `fetch_sub` on `next`
 //! (single and batched claims) or a CAS (the conditional claim), then
 //! reads each value, marks its slot EMPTY and counts the read in
-//! `consumed`, which the refiller waits on before reusing a buffer.
+//! `consumed`. A buffer whose `consumed` has reached the size of its
+//! last fill is *drained*: no claimant is still reading it, so it may be
+//! refilled (Listing 2 line 8).
 //!
 //! Three reclamation disciplines cover the paper's design space:
 //!
-//! * **ConsumerWait** — one buffer forever; the refiller spin-waits for
-//!   lagging consumers to finish reading their claimed slots before
-//!   overwriting (Listing 2 line 8). §3.5 notes this wait is what makes
-//!   the pool safe without hazard pointers.
+//! * **ConsumerWait** (the default) — a ring of reusable buffers, each
+//!   sized `batch_max`, none freed before the pool drops. A claim is one
+//!   Acquire load of the current-buffer pointer plus the `fetch_sub`: no
+//!   hazard, no retire, no allocation. The refiller (root lock held)
+//!   refills the current buffer in place if it is drained, else any
+//!   other drained buffer, and only when every buffer still has a
+//!   claimant mid-read does it allocate a spare and append it; then it
+//!   publishes the chosen buffer as current. The paper's lagging-consumer
+//!   wait is thus *checked* instead of awaited: the refiller never spins
+//!   under the root lock, so a claimant preempted mid-read stalls nobody.
 //! * **Hazard** — each refill publishes a fresh buffer and retires the old
-//!   one into an [`smr::Domain`]; consumers protect the buffer pointer.
+//!   one into an [`smr::Domain`]; consumers protect the buffer pointer
+//!   ("ZMSQ" in the paper's figures).
 //! * **Leak** — fresh buffer per refill, old ones leaked ("ZMSQ (leak)").
+//!
+//! # Why the ring is safe
+//!
+//! * Every non-current buffer is exhausted (`next < 0`): the refiller only
+//!   runs when the current buffer is exhausted, and it sets `next` only on
+//!   the buffer it is about to make current. A stale claimant that loaded
+//!   an old current pointer therefore fails its `fetch_sub` on it.
+//! * Once such a buffer is refilled, its elements are pool elements, so a
+//!   stale claimant that reaches it after the refill claims a legitimate
+//!   element. Each index of a fill is still claimed exactly once, by the
+//!   `fetch_sub` (or CAS) on `next`.
+//! * A buffer is refilled only when drained, i.e. after every claimant of
+//!   its last fill has read its slots; `consumed`'s Release increment and
+//!   the refiller's Acquire load order those reads before the overwrite.
+//! * A buffer that is not drained is pinned by a thread inside its claimed
+//!   window, and a thread is inside at most one. The ring grows only when
+//!   every buffer is pinned, so it holds at most 1 + (concurrent
+//!   claimants) buffers.
 //!
 //! # Fault injection (`--features fault-inject`)
 //!
 //! * `pool.claim-delay` — fires between a claimant's unique `fetch_sub`
 //!   on `next` and its read of the slot value, stretching exactly the
-//!   window the ConsumerWait refiller's lagging-consumer wait exists to
-//!   cover (Listing 2 line 8). With that wait removed, a delayed
-//!   claimant races the next generation's `fill` and reads torn state —
-//!   the chaos suite's mutation target.
+//!   window the drained check exists to cover (Listing 2 line 8). Under
+//!   it the ring must grow past one buffer and stay within its bound.
 //! * `pool.refill-delay` — fires between the refiller writing the slots
 //!   and publishing them via the `next` store, widening the window in
 //!   which consumers see an exhausted pool that is about to be refilled.
-//! * `pool.skip-consumer-wait` — skips the lagging-consumer wait
-//!   entirely, reintroducing the Listing 2 line 8 bug. Used by the
-//!   deterministic test suite's mutation check to prove the oracles can
-//!   detect the resulting overwrite race.
+//! * `pool.skip-consumer-wait` — makes the drained check answer "drained"
+//!   regardless, reintroducing the Listing 2 line 8 bug: the refiller
+//!   overwrites the current buffer under a lagging claimant. Used by the
+//!   deterministic and chaos suites' mutation checks to prove their
+//!   oracles detect the resulting overwrite race.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -63,7 +89,7 @@ struct Slot<V> {
 unsafe impl<V: Send> Sync for Slot<V> {}
 unsafe impl<V: Send> Send for Slot<V> {}
 
-/// One generation-reusable pool buffer.
+/// One pool buffer, reusable across fills.
 pub(crate) struct PoolBuf<V> {
     /// Index of the next slot to claim; negative = exhausted. Decremented
     /// by every claimant (`poolNext` in the paper).
@@ -91,13 +117,25 @@ impl<V: Send> PoolBuf<V> {
         }
     }
 
-    /// Whether unclaimed items remain. Only meaningful to a caller that
-    /// knows this buffer cannot be concurrently retired (the current
-    /// buffer observed under the root lock, or any buffer in the
-    /// ConsumerWait / Leak disciplines).
+    /// Whether unclaimed items remain.
     #[inline]
     pub fn has_items(&self) -> bool {
         self.next.load(Ordering::Relaxed) >= 0
+    }
+
+    /// Whether every slot of the last fill has been read, so no claimant
+    /// is still inside this buffer — the Listing 2 line 8 condition,
+    /// checked instead of awaited. Meaningful to the refiller (root lock
+    /// held) on an exhausted buffer, whose `consumed` can only grow.
+    #[inline]
+    fn is_drained(&self) -> bool {
+        // Mutation target for the det and chaos suites: firing this point
+        // answers "drained" under a lagging claimant, reintroducing the
+        // overwrite race the check exists to prevent. The suites must
+        // then catch torn reads — proof their oracles can fail.
+        fault::fail_point!("pool.skip-consumer-wait", return true);
+        // Acquire pairs with each consumer's release increment.
+        self.consumed.load(Ordering::Acquire) >= self.published.load(Ordering::Relaxed)
     }
 
     /// Read the claimed slots `top`, `top - 1`, … (`n` of them, in
@@ -112,13 +150,14 @@ impl<V: Send> PoolBuf<V> {
     #[inline(always)]
     unsafe fn read_claimed(&self, top: usize, n: usize, mut take: impl FnMut((u64, V))) {
         // Chaos: a lagging consumer — claimed its indexes but has not yet
-        // read the values. Safe only because the refiller waits for us.
+        // read the values. Safe only because the refiller reuses a buffer
+        // once drained, i.e. after `consumed` counts this read.
         fault::fail_point!("pool.claim-delay");
         det::det_point!("pool.claim-window");
         for slot in self.slots[top + 1 - n..=top].iter().rev() {
             debug_assert_eq!(slot.state.load(Ordering::Relaxed), SLOT_FULL);
             // SAFETY: claimed by this thread alone (caller contract), and
-            // nobody overwrites it until `consumed` accounts for the read.
+            // nobody refills it until `consumed` accounts for the read.
             let item = unsafe { (*slot.value.get()).assume_init_read() };
             // EMPTY first: if `take` unwinds, the slot must not own `item`.
             slot.state.store(SLOT_EMPTY, Ordering::Relaxed);
@@ -206,30 +245,11 @@ impl<V: Send> PoolBuf<V> {
         }
     }
 
-    /// Spin until every claimed slot of the previous generation has been
-    /// fully read — the paper's "wait for lagging consumers" (Listing 2
-    /// line 8). Caller must be the serialized refiller.
-    pub fn wait_for_consumers(&self) {
-        // Mutation target for the deterministic suite: firing this point
-        // skips the lagging-consumer wait, reintroducing the overwrite
-        // race the wait exists to prevent (Listing 2 line 8). The det
-        // harness must then catch torn reads within a bounded number of
-        // schedules — proof the oracles can fail.
-        fault::fail_point!("pool.skip-consumer-wait", return);
-        let published = self.published.load(Ordering::Relaxed);
-        let mut backoff = zmsq_sync::Backoff::new();
-        // Acquire pairs with each consumer's release increment.
-        while self.consumed.load(Ordering::Acquire) < published {
-            backoff.spin();
-        }
-    }
-
     /// Fill slots `0..items.len()` (ascending priority order expected from
     /// the caller) and publish.
     ///
-    /// Caller contract: serialized (root lock held), and either this is a
-    /// fresh unpublished buffer or [`PoolBuf::wait_for_consumers`] has
-    /// completed and the buffer is exhausted.
+    /// Caller contract: serialized (root lock held), and the buffer is
+    /// exhausted and [drained](Self::is_drained).
     pub fn fill(&self, items: &mut Vec<(u64, V)>) {
         let n = items.len();
         debug_assert!(n <= self.slots.len());
@@ -239,7 +259,7 @@ impl<V: Send> PoolBuf<V> {
         for (slot, item) in self.slots.iter().zip(items.drain(..)) {
             debug_assert_eq!(slot.state.load(Ordering::Relaxed), SLOT_EMPTY);
             slot.prio.store(item.0, Ordering::Relaxed);
-            // SAFETY: serialized refiller; previous generation fully
+            // SAFETY: serialized refiller; the previous fill is fully
             // consumed (caller contract), so the slot is logically empty.
             unsafe { (*slot.value.get()).write(item) };
             slot.state.store(SLOT_FULL, Ordering::Relaxed);
@@ -281,12 +301,81 @@ pub(crate) enum Reclaim {
     Leak(smr::LeakyDomain),
 }
 
+/// The ConsumerWait buffer ring (see the module docs).
+pub(crate) struct Ring<V> {
+    /// The buffer claimants read: always one of `bufs`.
+    cur: AtomicPtr<PoolBuf<V>>,
+    /// Every buffer the ring owns (from `Box::into_raw`), each with the
+    /// pool's capacity, none freed before the ring drops. Guarded by the
+    /// root lock.
+    bufs: UnsafeCell<Vec<*mut PoolBuf<V>>>,
+    /// `bufs.len()`, readable without the root lock.
+    len: AtomicUsize,
+}
+
+// SAFETY: `bufs` is only touched by the refiller, serialized by the root
+// lock (and by `&mut` in drop); the buffers themselves are shared through
+// their own atomic protocol.
+unsafe impl<V: Send> Sync for Ring<V> {}
+unsafe impl<V: Send> Send for Ring<V> {}
+
+impl<V: Send> Ring<V> {
+    fn new(cap: usize) -> Self {
+        let first = Box::into_raw(Box::new(PoolBuf::new(cap)));
+        Self {
+            cur: AtomicPtr::new(first),
+            bufs: UnsafeCell::new(vec![first]),
+            len: AtomicUsize::new(1),
+        }
+    }
+
+    /// Refill a drained buffer — the current one if it is, else any
+    /// other, else a fresh spare — and publish it as current. **Caller
+    /// must hold the root lock** and have observed the pool exhausted.
+    fn refill_locked(&self, items: &mut Vec<(u64, V)>) {
+        // SAFETY: root lock held, which serializes every `bufs` access.
+        let bufs = unsafe { &mut *self.bufs.get() };
+        // SAFETY: ring buffers live until the ring drops.
+        let drained = |p: *mut PoolBuf<V>| unsafe { &*p }.is_drained();
+        let cur = self.cur.load(Ordering::Relaxed);
+        let buf = if drained(cur) {
+            cur
+        } else if let Some(&p) = bufs.iter().find(|&&p| p != cur && drained(p)) {
+            p
+        } else {
+            // Every buffer has a claimant mid-read: grow instead of
+            // waiting for one of them.
+            // SAFETY: as above.
+            let cap = unsafe { &*cur }.slots.len();
+            let p = Box::into_raw(Box::new(PoolBuf::new(cap)));
+            bufs.push(p);
+            self.len.store(bufs.len(), Ordering::Relaxed);
+            p
+        };
+        // SAFETY: as above; `buf` is exhausted (every non-current buffer
+        // is, and the caller saw the current one exhausted) and drained.
+        unsafe { &*buf }.fill(items);
+        // Release: a claimant that acquires `buf` here sees it allocated.
+        self.cur.store(buf, Ordering::Release);
+    }
+}
+
+impl<V> Drop for Ring<V> {
+    fn drop(&mut self) {
+        for &p in self.bufs.get_mut().iter() {
+            // SAFETY: exclusive access at drop; each pointer came from
+            // `Box::into_raw` and is owned by the ring alone.
+            unsafe { drop(Box::from_raw(p)) };
+        }
+    }
+}
+
 /// The pool with its reclamation discipline.
 pub(crate) enum Pool<V> {
     /// `batch == 0`: no pool at all (strict mode).
     Disabled,
-    /// ConsumerWait: a single buffer reused in place.
-    Fixed(Box<PoolBuf<V>>),
+    /// ConsumerWait: a ring of buffers reused in place.
+    Ring(Ring<V>),
     /// Hazard / Leak: buffer pointer swapped on each refill.
     Swapped {
         cur: AtomicPtr<PoolBuf<V>>,
@@ -300,7 +389,7 @@ impl<V: Send> Pool<V> {
             return Pool::Disabled;
         }
         match mode {
-            crate::Reclamation::ConsumerWait => Pool::Fixed(Box::new(PoolBuf::new(batch))),
+            crate::Reclamation::ConsumerWait => Pool::Ring(Ring::new(batch)),
             crate::Reclamation::Hazard => Pool::Swapped {
                 cur: AtomicPtr::new(Box::into_raw(Box::new(PoolBuf::new(batch)))),
                 reclaim: Reclaim::Hazard(smr::Domain::new()),
@@ -319,7 +408,8 @@ impl<V: Send> Pool<V> {
     fn with_buf<R>(&self, f: impl FnOnce(&PoolBuf<V>) -> R) -> Option<R> {
         match self {
             Pool::Disabled => None,
-            Pool::Fixed(buf) => Some(f(buf)),
+            // SAFETY: ring buffers live until the pool drops.
+            Pool::Ring(ring) => Some(f(unsafe { &*ring.cur.load(Ordering::Acquire) })),
             Pool::Swapped {
                 cur,
                 reclaim: Reclaim::Hazard(domain),
@@ -370,7 +460,14 @@ impl<V: Send> Pool<V> {
     /// caller's own claims or refill).
     #[inline]
     pub fn has_items_locked(&self) -> bool {
-        self.with_buf(PoolBuf::has_items).unwrap_or(false)
+        let cur = match self {
+            Pool::Disabled => return false,
+            Pool::Ring(Ring { cur, .. }) | Pool::Swapped { cur, .. } => cur,
+        };
+        // SAFETY: only the refiller replaces or retires the current
+        // buffer, and it holds the root lock, as the caller does — so a
+        // plain load needs no hazard.
+        unsafe { &*cur.load(Ordering::Acquire) }.has_items()
     }
 
     /// Refill with `items` (ascending priority order). **Caller must hold
@@ -378,10 +475,7 @@ impl<V: Send> Pool<V> {
     pub fn refill_locked(&self, items: &mut Vec<(u64, V)>) {
         match self {
             Pool::Disabled => unreachable!("refill with batch == 0"),
-            Pool::Fixed(buf) => {
-                buf.wait_for_consumers();
-                buf.fill(items);
-            }
+            Pool::Ring(ring) => ring.refill_locked(items),
             Pool::Swapped { cur, reclaim } => {
                 let fresh = Box::new(PoolBuf::new(items.len()));
                 fresh.fill(items);
@@ -394,6 +488,16 @@ impl<V: Send> Pool<V> {
                     Reclaim::Leak(leaky) => unsafe { leaky.retire(old) },
                 }
             }
+        }
+    }
+
+    /// Buffers the pool owns now: the ring's size under ConsumerWait, one
+    /// current buffer under Hazard and Leak, none when disabled.
+    pub fn buffers(&self) -> usize {
+        match self {
+            Pool::Disabled => 0,
+            Pool::Ring(ring) => ring.len.load(Ordering::Relaxed),
+            Pool::Swapped { .. } => 1,
         }
     }
 
@@ -454,14 +558,17 @@ mod tests {
     }
 
     #[test]
-    fn wait_for_consumers_then_reuse() {
+    fn drained_buffer_refills_in_place() {
         let buf: PoolBuf<u64> = PoolBuf::new(4);
+        assert!(buf.is_drained(), "a fresh buffer is drained");
         let mut items = vec![(1, 1), (2, 2)];
         buf.fill(&mut items);
+        assert!(!buf.is_drained());
         assert_eq!(buf.try_claim(), Some((2, 2)));
+        assert!(!buf.is_drained());
         assert_eq!(buf.try_claim(), Some((1, 1)));
-        // All consumed: wait returns immediately and refill works.
-        buf.wait_for_consumers();
+        // All consumed: drained, so a refill may reuse it.
+        assert!(buf.is_drained());
         let mut items2 = vec![(7, 7), (8, 8), (9, 9)];
         buf.fill(&mut items2);
         assert_eq!(buf.try_claim(), Some((9, 9)));
@@ -483,8 +590,8 @@ mod tests {
         assert_eq!(&out[4..], &[(2, 20), (1, 10)]);
         assert_eq!(buf.try_claim_many(&mut out, 4), 0);
         assert_eq!(buf.try_claim(), None);
-        // Accounting closed out: the refiller would not wait.
-        buf.wait_for_consumers();
+        // Accounting closed out: the refiller may reuse the buffer.
+        assert!(buf.is_drained());
     }
 
     #[test]
@@ -499,7 +606,7 @@ mod tests {
         assert_eq!(buf.try_claim_many(&mut out, 100), 3);
         let got: Vec<u64> = out.iter().map(|&(k, _)| k).collect();
         assert_eq!(got, vec![7, 6, 5, 3, 2, 1]);
-        buf.wait_for_consumers();
+        assert!(buf.is_drained());
     }
 
     #[test]
@@ -553,8 +660,11 @@ mod tests {
         assert_eq!(live.load(Ordering::SeqCst), 0, "unclaimed slots dropped");
     }
 
-    fn exercise_concurrent(mode: Reclamation) {
-        const CONSUMERS: usize = 4;
+    const CONSUMERS: usize = 4;
+
+    /// Conservation with `CONSUMERS` claimants against one refiller;
+    /// returns how many buffers the pool ended up owning.
+    fn exercise_concurrent(mode: Reclamation) -> usize {
         const GENERATIONS: usize = 200;
         const BATCH: usize = 16;
         let pool = Arc::new(Pool::<u64>::new(BATCH, mode));
@@ -614,11 +724,72 @@ mod tests {
         if mode == Reclamation::Leak {
             assert_eq!(pool.leaked_count(), GENERATIONS as u64);
         }
+        pool.buffers()
     }
 
     #[test]
     fn concurrent_consumer_wait() {
-        exercise_concurrent(Reclamation::ConsumerWait);
+        let bufs = exercise_concurrent(Reclamation::ConsumerWait);
+        assert!((1..=CONSUMERS + 1).contains(&bufs), "ring of {bufs}");
+    }
+
+    /// Simulate a claimant stuck between its `fetch_sub` and its read.
+    fn claim_without_read(pool: &Pool<u64>) -> (*mut PoolBuf<u64>, usize) {
+        let Pool::Ring(ring) = pool else { unreachable!() };
+        let buf = ring.cur.load(Ordering::Acquire);
+        // SAFETY: ring buffers live as long as the pool.
+        let top = unsafe { &*buf }.next.fetch_sub(1, Ordering::AcqRel);
+        assert!(top >= 0, "claim from an exhausted buffer");
+        (buf, top as usize)
+    }
+
+    /// Finish the simulated claimant's read.
+    fn finish_read(claim: (*mut PoolBuf<u64>, usize)) -> (u64, u64) {
+        let mut got = None;
+        // SAFETY: `claim_without_read` uniquely reserved index `top`.
+        unsafe { (*claim.0).read_claimed(claim.1, 1, |item| got = Some(item)) };
+        got.expect("one slot read")
+    }
+
+    fn drain(pool: &Pool<u64>) -> Vec<u64> {
+        std::iter::from_fn(|| pool.try_claim()).map(|(k, _)| k).collect()
+    }
+
+    #[test]
+    fn ring_refills_in_place_reuses_drained_and_grows_past_lagging_claimants() {
+        let pool = Pool::<u64>::new(4, Reclamation::ConsumerWait);
+        let cur = |p: &Pool<u64>| match p {
+            Pool::Ring(ring) => ring.cur.load(Ordering::Relaxed),
+            _ => unreachable!(),
+        };
+        let first = cur(&pool);
+        pool.refill_locked(&mut vec![(1, 1), (2, 2)]);
+        assert_eq!(drain(&pool), [2, 1]);
+        // Drained: refilled in place.
+        pool.refill_locked(&mut vec![(3, 3), (4, 4)]);
+        assert_eq!((cur(&pool), pool.buffers()), (first, 1));
+
+        // A claimant lags on the current buffer: the refill must not
+        // touch it, and with no other buffer the ring grows.
+        let lagging = claim_without_read(&pool);
+        assert_eq!(drain(&pool), [3]);
+        pool.refill_locked(&mut vec![(5, 5), (6, 6)]);
+        let second = cur(&pool);
+        assert_ne!(second, first);
+        assert_eq!(pool.buffers(), 2);
+        assert_eq!(finish_read(lagging), (4, 4), "the lagging read is intact");
+        assert_eq!(drain(&pool), [6, 5]);
+
+        // Now the first buffer is drained again: a refill over a lagging
+        // claimant on the second reuses it instead of growing.
+        pool.refill_locked(&mut vec![(7, 7), (8, 8)]);
+        assert_eq!(cur(&pool), second, "drained current refilled in place");
+        let lagging = claim_without_read(&pool);
+        assert_eq!(drain(&pool), [7]);
+        pool.refill_locked(&mut vec![(9, 9)]);
+        assert_eq!((cur(&pool), pool.buffers()), (first, 2));
+        assert_eq!(finish_read(lagging), (8, 8));
+        assert_eq!(drain(&pool), [9]);
     }
 
     #[test]
@@ -640,13 +811,13 @@ mod tests {
     }
 
     /// With claim-delay injected, consumers linger inside the
-    /// claimed-but-unread window while the refiller is already spinning
-    /// in `wait_for_consumers` — conservation must still hold, which is
-    /// exactly what that wait guarantees (and what the chaos suite's
-    /// mutation check removes to prove the test can fail).
+    /// claimed-but-unread window when the refiller comes round. The ring
+    /// must route around them — grow past one buffer rather than wait —
+    /// while conservation holds and the ring stays within its bound of
+    /// one buffer per concurrent claimant plus one.
     #[test]
     #[cfg(feature = "fault-inject")]
-    fn injected_claim_delay_is_covered_by_consumer_wait() {
+    fn injected_claim_delay_grows_the_ring_within_bound() {
         let _x = fault::exclusive();
         fault::reset();
         fault::set_seed(0xC1A1_4DE1);
@@ -654,10 +825,14 @@ mod tests {
             "pool.claim-delay",
             fault::Policy::new(fault::Trigger::Prob(0.25)).with_action(fault::Action::SleepMs(1)),
         );
-        exercise_concurrent(Reclamation::ConsumerWait);
+        let bufs = exercise_concurrent(Reclamation::ConsumerWait);
         assert!(
             fault::hit_count("pool.claim-delay") > 0,
             "failpoint never fired"
+        );
+        assert!(
+            (2..=CONSUMERS + 1).contains(&bufs),
+            "ring of {bufs} buffers under lagging claimants"
         );
         fault::reset();
     }

@@ -360,9 +360,10 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
     /// Create a fixed-capacity queue: admission control keeps occupancy
     /// at or below `n`. Bounded means capacity admission only; it
     /// reserves no memory up front. The sets keep their storage once
-    /// warm, so the steady state's remaining allocator calls are the
-    /// pool's buffer per refill and a `Vec` per split (zbench's
-    /// `alloc.calls_per_op` counts them).
+    /// warm and the default pool reuses its buffers, so the steady
+    /// state's remaining allocator calls are a `Vec` per split (zbench's
+    /// `alloc.calls_per_op` counts them; `tests/queue_alloc.rs` gates
+    /// them).
     /// Admission defaults to [`ShedPolicy::Block`](crate::ShedPolicy::Block);
     /// compose with [`ZmsqConfig::shed_policy`] via `with_config` for
     /// other policies.
@@ -376,7 +377,7 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         Self {
             tree: Tree::new(INITIAL_LEAF_LEVEL),
             // The pool is allocated at the top of the adaptive range so a
-            // widened batch never outgrows the (ConsumerWait) buffer;
+            // widened batch never outgrows a reused (ConsumerWait) buffer;
             // batch_max == batch when adaptation is off.
             pool: Pool::new(cfg.batch_max, cfg.reclamation),
             events: cfg.blocking.then(EventBuffer::new),
@@ -406,9 +407,12 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         &self.cfg
     }
 
-    /// Snapshot of the operation counters.
+    /// Snapshot of the operation counters and the pool-buffer gauge.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        StatsSnapshot {
+            pool_buffers: self.pool.buffers() as u64,
+            ..self.stats.snapshot()
+        }
     }
 
     /// Best-effort size (inserts minus extractions; exact when quiescent).
@@ -1820,7 +1824,23 @@ mod tests {
             if mode == Reclamation::Leak {
                 assert!(q.leaked_buffers() > 0, "leak mode should leak buffers");
             }
+            // One thread never lags behind its own refill: one buffer.
+            assert_eq!(q.stats().pool_buffers, 1, "mode {mode:?}");
         }
+    }
+
+    #[test]
+    fn pool_buffers_gauge_is_exported() {
+        let q = Q::new();
+        assert_eq!(q.config().reclamation, Reclamation::ConsumerWait);
+        for i in 0..500u64 {
+            q.insert(i, i);
+        }
+        assert_eq!(q.drain_count(), 500);
+        let snap = pq_traits::ConcurrentPriorityQueue::metrics(&q).unwrap();
+        assert_eq!(snap.gauge("zmsq.pool.buffers"), Some(1));
+        let strict = Q::with_config(ZmsqConfig::strict());
+        assert_eq!(strict.stats().pool_buffers, 0, "strict mode has no pool");
     }
 
     #[test]
@@ -2096,9 +2116,9 @@ mod tests {
 
     #[test]
     fn adaptive_consumer_wait_buffer_fits_widened_batch() {
-        // ConsumerWait reuses one fixed buffer: it must be allocated at
+        // ConsumerWait reuses its buffers: they must be allocated at
         // batch_max, not the starting batch, or a widened refill would
-        // overflow it.
+        // overflow one.
         let q = Q::with_config(
             ZmsqConfig::default()
                 .target_len(32)

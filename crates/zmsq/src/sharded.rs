@@ -1092,6 +1092,8 @@ mod tests {
             assert!(snap.counter(&format!("zmsq.shard.{i}.inserts")).is_some());
         }
         assert_eq!(snap.counter("zmsq.inserts"), Some(100));
+        // Each shard's pool owns one buffer so far; the gauge totals them.
+        assert_eq!(snap.gauge("zmsq.pool.buffers"), Some(4));
     }
 
     #[test]

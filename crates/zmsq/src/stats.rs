@@ -96,6 +96,10 @@ pub struct StatsSnapshot {
     /// under sustained overload); each round of a blocked insert's
     /// wait-retry loop counts once.
     pub producer_waits: u64,
+    /// Pool buffers owned when the snapshot was taken — a gauge, not a
+    /// counter: the ConsumerWait ring's size (one per concurrent claimant
+    /// plus one at most), one under Hazard and Leak, zero when strict.
+    pub pool_buffers: u64,
 }
 
 impl Stats {
@@ -119,6 +123,8 @@ impl Stats {
             shed_rejected: self.shed_rejected.sum(),
             shed_evicted: self.shed_evicted.sum(),
             producer_waits: self.producer_waits.sum(),
+            // A gauge of the pool, not a counter: `Zmsq::stats` fills it.
+            pool_buffers: 0,
         }
     }
 }
@@ -126,7 +132,8 @@ impl Stats {
 impl StatsSnapshot {
     /// Accumulate `other` into `self`, field by field. Used by
     /// [`ShardedZmsq`](crate::ShardedZmsq) to fold per-shard counters
-    /// into one queue-level view.
+    /// (and the pool-buffer gauge, a total over shards) into one
+    /// queue-level view.
     pub fn absorb(&mut self, other: &StatsSnapshot) {
         let StatsSnapshot {
             inserts,
@@ -147,6 +154,7 @@ impl StatsSnapshot {
             shed_rejected,
             shed_evicted,
             producer_waits,
+            pool_buffers,
         } = *other;
         self.inserts += inserts;
         self.insert_retries += insert_retries;
@@ -166,6 +174,7 @@ impl StatsSnapshot {
         self.shed_rejected += shed_rejected;
         self.shed_evicted += shed_evicted;
         self.producer_waits += producer_waits;
+        self.pool_buffers += pool_buffers;
     }
 
     /// Total elements shed at capacity, whatever the mechanism.
@@ -206,6 +215,7 @@ impl StatsSnapshot {
         s.push_counter("queue.shed.rejected", self.shed_rejected);
         s.push_counter("queue.shed.evicted", self.shed_evicted);
         s.push_counter("queue.shed.producer_waits", self.producer_waits);
+        s.push_gauge("zmsq.pool.buffers", self.pool_buffers as i64);
         if self.inserts + self.shed_rejected > 0 {
             // Shed ratio over *offered* load: sheds / (admitted + refused).
             // Evicted elements were admitted first, so the denominator is

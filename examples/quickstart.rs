@@ -28,13 +28,14 @@ fn main() {
     assert_eq!(strict.extract_max(), Some((3, "high")));
     println!("strict mode returns the exact max, always");
 
-    // Tuning: smaller batch = tighter relaxation; ConsumerWait avoids
-    // hazard pointers via the lagging-consumer wait (§3.5).
+    // Tuning: smaller batch = tighter relaxation; Hazard swaps in a fresh
+    // pool buffer per refill and reclaims the old one through hazard
+    // pointers (the paper's "ZMSQ" arm) instead of the default reuse.
     let tuned: Zmsq<u64> = Zmsq::with_config(
         ZmsqConfig::default()
             .batch(8)
             .target_len(16)
-            .reclamation(Reclamation::ConsumerWait),
+            .reclamation(Reclamation::Hazard),
     );
     for i in 0..1000 {
         tuned.insert(i, i);

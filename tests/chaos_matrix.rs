@@ -22,10 +22,11 @@
 //! fixed set of seeds; a failure message always includes the seed so any
 //! run is replayable.
 //!
-//! The conservation test doubles as the suite's mutation check: comment
-//! out the refiller's `wait_for_consumers` call in `zmsq::pool` and
-//! `conservation_consumer_wait_under_claim_delay` fails deterministically
-//! (the stretched claim window races the next refill).
+//! The conservation test doubles as the suite's mutation check: arm
+//! `pool.skip-consumer-wait` (`Trigger::Always`) in
+//! `conservation_consumer_wait_under_claim_delay`, which makes the pool
+//! ring's drained check answer "drained" under a lagging claimant, and
+//! the test fails (the stretched claim window races the next refill).
 
 #![cfg(feature = "fault-inject")]
 
@@ -148,8 +149,8 @@ fn run_conservation(q: &impl ConcurrentPriorityQueue<u64>, per_thread: u64) {
 
 /// The mutation-check test: ConsumerWait reclamation with the
 /// claimed-but-unread window stretched by `pool.claim-delay`. Only the
-/// refiller's `wait_for_consumers` makes this safe — remove it and the
-/// refill overwrites slots a sleeping claimant has yet to read.
+/// ring's drained check makes this safe — skip it and the refill
+/// overwrites slots a sleeping claimant has yet to read.
 #[test]
 fn conservation_consumer_wait_under_claim_delay() {
     let _x = fault::exclusive();

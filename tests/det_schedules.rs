@@ -848,10 +848,10 @@ fn det_mutation_skipped_close_flush_is_caught() {
     eprintln!("mutation caught:\n{failure}");
 }
 
-/// Mutation check: with the pool's lagging-consumer wait compiled out
-/// (the `pool.skip-consumer-wait` failpoint armed `Always`), the det
-/// harness must catch the reintroduced overwrite race within a bounded
-/// number of schedules. `#[ignore]` by default — CI runs it explicitly
+/// Mutation check: with the pool ring's drained check answering
+/// "drained" regardless (the `pool.skip-consumer-wait` failpoint armed
+/// `Always`), the det harness must catch the reintroduced overwrite race
+/// within a bounded number of schedules. `#[ignore]` by default — CI runs it explicitly
 /// (`--ignored`) with `--features "det-sched fault-inject"`.
 #[cfg(feature = "fault-inject")]
 #[test]
@@ -908,7 +908,7 @@ fn det_mutation_skipped_consumer_wait_is_caught() {
     });
     fault::reset();
     let failure =
-        result.expect_err("the wait_for_consumers mutation must be caught within 10,000 schedules");
+        result.expect_err("the skipped drained check must be caught within 10,000 schedules");
     // The shrunk failing schedule is what CI uploads on failure; here it
     // proves the report machinery works end to end.
     eprintln!("mutation caught:\n{failure}");
