@@ -39,7 +39,7 @@ fn variant(name: &str) -> (String, ZmsqConfig) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["quick", "ops", "threads"]);
     let quick = args.get_bool("quick");
     let ops: u64 = args.get_num("ops", if quick { 200_000 } else { 2_000_000 });
     let threads: usize = args.get_num("threads", 2);

@@ -21,7 +21,7 @@ use workloads::keys::distinct_keys;
 use zmsq::Reclamation;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["quick", "size", "window", "batch"]);
     let quick = args.get_bool("quick");
     let size: usize = args.get_num("size", if quick { 16_384 } else { 65_536 });
     let window: usize = args.get_num("window", size / 100);

@@ -15,9 +15,7 @@
 use bench::cli::Args;
 use workloads::keys::KeyDist;
 use workloads::mixed::{run_mixed, MixedConfig};
-use zmsq::{
-    LockStrategy, OsLock, RawTryLock, Reclamation, TasLock, TatasLock, Zmsq, ZmsqConfig,
-};
+use zmsq::{LockStrategy, OsLock, RawTryLock, Reclamation, TasLock, TatasLock, Zmsq, ZmsqConfig};
 
 fn run_one<L: RawTryLock + 'static>(
     strategy: LockStrategy,
@@ -76,7 +74,7 @@ fn run_one<L: RawTryLock + 'static>(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["quick", "ops", "threads", "mix", "stats"]);
     let quick = args.get_bool("quick");
     let ops: u64 = args.get_num("ops", if quick { 100_000 } else { 1_000_000 });
     let threads = args.get_list(

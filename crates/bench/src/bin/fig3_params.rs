@@ -34,7 +34,7 @@ fn dynamic_cfg(ratio: (usize, usize), t: usize) -> (usize, usize) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["quick", "ops", "threads", "mix"]);
     let quick = args.get_bool("quick");
     let ops: u64 = args.get_num("ops", if quick { 100_000 } else { 1_000_000 });
     let threads = args.get_list(

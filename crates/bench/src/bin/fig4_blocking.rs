@@ -19,7 +19,7 @@ fn paper_zmsq() -> ZmsqConfig {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["quick", "producers", "consumers", "items"]);
     let quick = args.get_bool("quick");
     let producers: usize = args.get_num("producers", 4);
     let consumers = args.get_list(
@@ -67,12 +67,8 @@ fn main() {
         }
         // Blocking consumers (futex buffer of §3.6).
         {
-            let q: Zmsq<u64> = Zmsq::with_config(
-                paper_zmsq()
-                    .batch(32)
-                    .target_len(48)
-                    .blocking(true),
-            );
+            let q: Zmsq<u64> =
+                Zmsq::with_config(paper_zmsq().batch(32).target_len(48).blocking(true));
             let r = run_prodcons_blocking(&q, &cfg);
             assert_eq!(r.received, items);
             println!(

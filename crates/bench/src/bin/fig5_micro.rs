@@ -20,7 +20,7 @@ use workloads::keys::KeyDist;
 use workloads::mixed::{run_mixed, MixedConfig};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["quick", "ops", "threads", "mix", "key-bits", "queues"]);
     let quick = args.get_bool("quick");
     let ops: u64 = args.get_num("ops", if quick { 100_000 } else { 2_000_000 });
     let threads = args.get_list(

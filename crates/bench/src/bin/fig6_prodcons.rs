@@ -16,7 +16,7 @@ use workloads::keys::KeyDist;
 use workloads::prodcons::{run_prodcons_spin, ProdConsConfig};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["quick", "items", "ratios", "queues"]);
     let quick = args.get_bool("quick");
     let items: u64 = args.get_num("items", if quick { 50_000 } else { 1_000_000 });
     let ratios_arg = args.get("ratios", "1:1,2:1,1:2,4:1,1:4,8:1,1:8");

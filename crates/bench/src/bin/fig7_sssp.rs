@@ -63,7 +63,7 @@ fn run_graph(name: &str, graph: &CsrGraph, args: &Args) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["quick", "graph", "threads", "queues", "runs"]);
     let which = args.get("graph", "both");
     bench::csv_header(&["graph", "queue", "threads", "time_ms", "waste_ratio"]);
     if which == "artist" || which == "both" {

@@ -14,7 +14,7 @@ use zmsq::Reclamation;
 use zmsq_graph::{gen, parallel_sssp, sequential_sssp};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["quick", "scale", "threads", "runs"]);
     let quick = args.get_bool("quick");
     let scale: f64 = args.get_num("scale", if quick { 0.005 } else { 0.05 });
     let threads = args.get_list(

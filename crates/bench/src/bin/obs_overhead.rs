@@ -2,19 +2,16 @@
 //!
 //! The observability layer's contract is that always-on recording is
 //! nearly free. This harness measures a fixed single-threaded
-//! insert/extract workload on a default ZMSQ in four arms —
+//! insert/extract workload on a default ZMSQ in three arms —
 //!
-//! * `bare` — estimator and sojourn tracker detached
-//!   (`no_rank_estimator().no_sojourn()`), no extra recording: the
-//!   baseline.
+//! * `bare` — rank and sojourn telemetry detached
+//!   (`no_rank_estimator()`), no extra recording: the baseline.
 //! * `counter+hist` — bare plus one striped-counter `incr` and one
 //!   log-linear histogram `record` per pair (the original ≤5% budget).
-//! * `estimator` — the default-on `RankEstimator` (shift 6: ~1/64 of
-//!   inserts sampled into the shadow reservoir, every extract checked
-//!   with one multiply+branch). Must also fit the ≤5% budget.
-//! * `sojourn` — the default-on `SojournTracker` (shift 6: ~1/64 of
-//!   keys stamped at insert, every extract/evict checked with one
-//!   multiply+shift before the cold matching path). Same ≤5% budget.
+//! * `telemetry` — the default config: the `RankEstimator`'s one
+//!   sampled table (shift 6: ~1/64 of keys stamped at insert; a sampled
+//!   extract scans the table for the rank estimate and records the
+//!   sojourn; every other op is one multiply+branch). Same ≤5% budget.
 //!
 //! — and reports each arm's marginal overhead over `bare`. Medians over
 //! interleaved trials damp frequency drift.
@@ -65,7 +62,7 @@ fn prefill(q: &Zmsq<u64>, n: u64) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["quick", "ops", "trials", "budget", "assert"]);
     let quick = args.get_bool("quick");
     let ops: u64 = args.get_num("ops", if quick { 150_000 } else { 1_000_000 });
     let trials: usize = args.get_num("trials", if quick { 5 } else { 9 });
@@ -88,73 +85,52 @@ fn main() {
         eprintln!("note: obs-trace build — span recording is compiled in and counted in `bare`");
     }
 
-    let q_bare: Zmsq<u64> =
-        Zmsq::with_config(ZmsqConfig::default().no_rank_estimator().no_sojourn());
-    let q_est: Zmsq<u64> = Zmsq::with_config(ZmsqConfig::default().no_sojourn());
-    let q_soj: Zmsq<u64> = Zmsq::with_config(ZmsqConfig::default().no_rank_estimator());
+    let q_bare: Zmsq<u64> = Zmsq::with_config(ZmsqConfig::default().no_rank_estimator());
+    let q_tel: Zmsq<u64> = Zmsq::with_config(ZmsqConfig::default());
     assert!(
-        q_est.rank_estimator().is_some(),
-        "default config must carry the rank estimator"
-    );
-    assert!(
-        q_soj.sojourn_tracker().is_some(),
-        "default config must carry the sojourn tracker"
+        q_tel.rank_estimator().is_some(),
+        "default config must carry the telemetry table"
     );
     prefill(&q_bare, ops / 4);
-    prefill(&q_est, ops / 4);
-    prefill(&q_soj, ops / 4);
+    prefill(&q_tel, ops / 4);
     // Warm every path (page in the statics, settle the pools).
     run_trial(&q_bare, ops / 10, false);
     run_trial(&q_bare, ops / 10, true);
-    run_trial(&q_est, ops / 10, false);
-    run_trial(&q_soj, ops / 10, false);
+    run_trial(&q_tel, ops / 10, false);
 
-    let (mut bare, mut inst, mut est, mut soj) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let (mut bare, mut inst, mut tel) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..trials {
         bare.push(run_trial(&q_bare, ops, false));
         inst.push(run_trial(&q_bare, ops, true));
-        est.push(run_trial(&q_est, ops, false));
-        soj.push(run_trial(&q_soj, ops, false));
+        tel.push(run_trial(&q_tel, ops, false));
     }
-    let (bare, inst, est, soj) = (
-        median(&mut bare),
-        median(&mut inst),
-        median(&mut est),
-        median(&mut soj),
-    );
+    let (bare, inst, tel) = (median(&mut bare), median(&mut inst), median(&mut tel));
     let inst_pct = (inst - bare) / bare * 100.0;
-    let est_pct = (est - bare) / bare * 100.0;
-    let soj_pct = (soj - bare) / bare * 100.0;
+    let tel_pct = (tel - bare) / bare * 100.0;
 
-    // The estimator arm must actually have sampled: at shift 6 over
-    // ~1M+ inserts the expected sample count is in the tens of
-    // thousands, so zero means the hooks are disconnected.
-    let (sampled_inserts, _, _, sampled_extracts, ..) = q_est.rank_estimator().unwrap().counters();
+    // The telemetry arm must actually have sampled and matched: at
+    // shift 6 over ~1M+ inserts the expected sample count is in the
+    // tens of thousands, so zero means the hooks are disconnected, not
+    // that the notes are fast.
+    let (sampled_inserts, stored, _, sampled_extracts, matched, ..) =
+        q_tel.rank_estimator().unwrap().counters();
     assert!(
-        sampled_inserts > 0 && sampled_extracts > 0,
-        "estimator arm never sampled (inserts {sampled_inserts}, extracts {sampled_extracts})"
-    );
-    // Same for the sojourn arm: zero stamps or matches means the
-    // insert/extract hooks are disconnected, not that stamping is fast.
-    let (stamped, matched, ..) = q_soj.sojourn_tracker().unwrap().counters();
-    assert!(
-        stamped > 0 && matched > 0,
-        "sojourn arm never stamped (stamped {stamped}, matched {matched})"
+        sampled_inserts > 0 && stored > 0 && sampled_extracts > 0 && matched > 0,
+        "telemetry arm never sampled (inserts {sampled_inserts}, stored {stored}, \
+         extracts {sampled_extracts}, matched {matched})"
     );
 
     bench::csv_header(&["variant", "ns_per_pair", "overhead_pct"]);
     println!("bare,{bare:.1},0.0");
     println!("counter+hist,{inst:.1},{inst_pct:.2}");
-    println!("estimator,{est:.1},{est_pct:.2}");
-    println!("sojourn,{soj:.1},{soj_pct:.2}");
+    println!("telemetry,{tel:.1},{tel_pct:.2}");
     std::hint::black_box((COUNTER.get(), HIST.snapshot().count));
 
     if args.get_bool("assert") {
         let mut failed = false;
         for (variant, pct, ns) in [
             ("counter+hist", inst_pct, inst),
-            ("estimator", est_pct, est),
-            ("sojourn", soj_pct, soj),
+            ("telemetry", tel_pct, tel),
         ] {
             if pct > budget {
                 eprintln!(

@@ -41,7 +41,17 @@ use bench::queues::make_queue;
 use pq_traits::ConcurrentPriorityQueue;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "quick",
+        "ops",
+        "prefill",
+        "threads",
+        "queues",
+        "metrics",
+        "serve",
+        "serve-hold-ms",
+        "trace",
+    ]);
     let quick = args.get_bool("quick");
     let ops: u64 = args.get_num("ops", if quick { 200_000 } else { 1_000_000 });
     let prefill: u64 = args.get_num("prefill", ops / 4);

@@ -244,7 +244,20 @@ fn run_phase(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "quick",
+        "producers",
+        "consumers",
+        "capacity",
+        "ops",
+        "service-ns",
+        "assert",
+        "policies",
+        "metrics",
+        "serve",
+        "serve-hold-ms",
+        "trace",
+    ]);
     let quick = args.get_bool("quick");
     let producers: usize = args.get_num("producers", 4);
     let consumers: usize = args.get_num("consumers", 1);

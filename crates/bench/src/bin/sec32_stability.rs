@@ -18,7 +18,14 @@ use workloads::keys::{KeyDist, KeyStream};
 use zmsq::{Zmsq, ZmsqConfig};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "quick",
+        "prefill",
+        "pairs",
+        "target-len",
+        "batch",
+        "probe-factor",
+    ]);
     let quick = args.get_bool("quick");
     let prefill: u64 = args.get_num("prefill", if quick { 100_000 } else { 1_000_000 });
     let pairs: u64 = args.get_num("pairs", if quick { 800_000 } else { 8_000_000 });

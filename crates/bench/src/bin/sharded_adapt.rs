@@ -82,7 +82,9 @@ struct PhaseRow {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "quick", "shards", "adaptive", "threads", "ops", "prefill", "assert", "metrics", "trace",
+    ]);
     let quick = args.get_bool("quick");
     let shards_list = args.get_list("shards", &[1, 4]);
     let adaptive_mode = args.get("adaptive", "both");

@@ -123,7 +123,17 @@ fn drain(q: &dyn ConcurrentPriorityQueue<u64>, oracle: Option<&RankOracle>) -> u
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "quick",
+        "ops",
+        "prefill",
+        "threads",
+        "assert",
+        "bases",
+        "stickiness",
+        "buffers",
+        "metrics",
+    ]);
     let quick = args.get_bool("quick");
     let ops: u64 = args.get_num("ops", if quick { 60_000 } else { 400_000 });
     let prefill: u64 = args.get_num("prefill", ops / 4);

@@ -16,7 +16,7 @@ use workloads::keys::distinct_keys;
 use zmsq::Reclamation;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["quick", "runs", "size"]);
     let quick = args.get_bool("quick");
     let runs: usize = args.get_num("runs", if quick { 3 } else { 15 });
     let size_arg = args.get("size", "both");

@@ -221,7 +221,7 @@ fn render(prev: &Snapshot, cur: &Snapshot, dt: Duration) -> String {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["addr", "interval-ms", "iters", "raw"]);
     let addr = args.get("addr", "127.0.0.1:9898");
     let interval = Duration::from_millis(args.get_num("interval-ms", 1000u64));
     let iters: u64 = args.get_num("iters", 0);

@@ -1,29 +1,44 @@
 //! Minimal flag parser for the harness binaries (no external deps).
 //!
 //! Syntax: `--key value` or boolean `--flag`. Lists are comma-separated:
-//! `--threads 1,2,4,8`.
+//! `--threads 1,2,4,8`. Each binary names the flags it reads; any other
+//! argument (`--help` included) stops it before it runs anything, with
+//! the accepted flags listed.
 
 use std::collections::HashMap;
 
 /// Parsed command-line flags.
 pub struct Args {
+    accepted: &'static [&'static str],
     flags: HashMap<String, String>,
 }
 
 impl Args {
-    /// Parse `std::env::args()`.
-    pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+    /// Parse `std::env::args()`, accepting only the flags in
+    /// `accepted`. On any other argument prints the error and the
+    /// accepted flags to stderr and exits with status 2.
+    pub fn parse(accepted: &'static [&'static str]) -> Self {
+        Self::parse_from(accepted, std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
     }
 
-    /// Parse from an explicit iterator (testable).
-    pub fn parse_from(iter: impl IntoIterator<Item = String>) -> Self {
+    /// Parse from an explicit iterator (testable). `Err` names the first
+    /// argument that is not one of the `accepted` flags, and lists them.
+    pub fn parse_from(
+        accepted: &'static [&'static str],
+        iter: impl IntoIterator<Item = String>,
+    ) -> Result<Self, String> {
         let mut flags = HashMap::new();
         let mut iter = iter.into_iter().peekable();
         while let Some(arg) = iter.next() {
-            let Some(key) = arg.strip_prefix("--") else {
-                eprintln!("ignoring positional argument {arg:?}");
-                continue;
+            let Some(key) = arg.strip_prefix("--").filter(|k| accepted.contains(k)) else {
+                let list: Vec<String> = accepted.iter().map(|k| format!("--{k}")).collect();
+                return Err(format!(
+                    "unexpected argument {arg:?}; accepted flags: {}",
+                    list.join(" ")
+                ));
             };
             let value = match iter.peek() {
                 Some(v) if !v.starts_with("--") => iter.next().unwrap(),
@@ -31,21 +46,29 @@ impl Args {
             };
             flags.insert(key.to_string(), value);
         }
-        Self { flags }
+        Ok(Self { accepted, flags })
+    }
+
+    /// The value of `key`. Reading a flag the binary did not declare is
+    /// a bug: the parser would have refused it on the command line.
+    fn value(&self, key: &str) -> Option<&String> {
+        assert!(
+            self.accepted.contains(&key),
+            "--{key} is read but not among the accepted flags"
+        );
+        self.flags.get(key)
     }
 
     /// String flag with default.
     pub fn get(&self, key: &str, default: &str) -> String {
-        self.flags
-            .get(key)
+        self.value(key)
             .cloned()
             .unwrap_or_else(|| default.to_string())
     }
 
     /// Parsed numeric flag with default.
     pub fn get_num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.flags
-            .get(key)
+        self.value(key)
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
     }
@@ -55,20 +78,20 @@ impl Args {
     /// `--metrics [path]` distinguish "off", "on with default path",
     /// and "on with explicit path".
     pub fn get_opt(&self, key: &str) -> Option<&str> {
-        self.flags.get(key).map(String::as_str)
+        self.value(key).map(String::as_str)
     }
 
     /// Boolean flag (present or `--key true`).
     pub fn get_bool(&self, key: &str) -> bool {
         matches!(
-            self.flags.get(key).map(String::as_str),
+            self.value(key).map(String::as_str),
             Some("true") | Some("1")
         )
     }
 
     /// Comma-separated list of numbers with default.
     pub fn get_list(&self, key: &str, default: &[usize]) -> Vec<usize> {
-        match self.flags.get(key) {
+        match self.value(key) {
             None => default.to_vec(),
             Some(v) => v.split(',').filter_map(|s| s.trim().parse().ok()).collect(),
         }
@@ -79,8 +102,10 @@ impl Args {
 mod tests {
     use super::*;
 
+    const FLAGS: &[&str] = &["threads", "ops", "quick", "mix", "metrics", "absent"];
+
     fn args(s: &str) -> Args {
-        Args::parse_from(s.split_whitespace().map(String::from))
+        Args::parse_from(FLAGS, s.split_whitespace().map(String::from)).unwrap()
     }
 
     #[test]
@@ -115,5 +140,28 @@ mod tests {
     fn malformed_numbers_fall_back() {
         let a = args("--ops banana");
         assert_eq!(a.get_num("ops", 5u64), 5);
+    }
+
+    #[test]
+    fn unknown_flags_and_positionals_are_refused_with_the_accepted_list() {
+        for bad in ["--help", "--ops 10 --thread 2", "--quick sweep extra"] {
+            let err = Args::parse_from(FLAGS, bad.split_whitespace().map(String::from))
+                .err()
+                .unwrap_or_else(|| panic!("{bad:?} must be refused"));
+            assert!(
+                err.contains("--threads --ops --quick --mix --metrics --absent"),
+                "{err}"
+            );
+        }
+        let err = Args::parse_from(FLAGS, ["--help".to_string()])
+            .err()
+            .unwrap();
+        assert!(err.contains("\"--help\""), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "--stats is read but not among the accepted flags")]
+    fn reading_an_undeclared_flag_panics() {
+        args("--quick").get_bool("stats");
     }
 }

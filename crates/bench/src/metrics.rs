@@ -194,7 +194,11 @@ mod tests {
     use super::*;
 
     fn args(s: &str) -> Args {
-        Args::parse_from(s.split_whitespace().map(String::from))
+        Args::parse_from(
+            &["metrics", "serve"],
+            s.split_whitespace().map(String::from),
+        )
+        .unwrap()
     }
 
     #[test]

@@ -176,7 +176,10 @@ mod tests {
         assert_eq!(make_queue::<u64>("zmsq-deque", 2).name(), "zmsq-deque");
         assert_eq!(make_queue::<u64>("zmsq-leak", 2).name(), "zmsq-list-leak");
         assert_eq!(make_queue::<u64>("zmsq-wait", 2).name(), "zmsq-list-wait");
-        assert_eq!(make_queue::<u64>("zmsq-strict", 2).name(), "zmsq-list-strict");
+        assert_eq!(
+            make_queue::<u64>("zmsq-strict", 2).name(),
+            "zmsq-list-strict"
+        );
     }
 
     #[test]

@@ -37,9 +37,14 @@
 //! * [`retain`] — fixed-memory multi-tier time-series retention rings
 //!   (2s/1m/1h by default) fed by [`Sampler::start_retained`], so a
 //!   scrape sees downsampled history rather than a single point.
-//! * [`sojourn`] — sampled per-element enqueue→extract sojourn-time
-//!   histograms ([`SojournTracker`]), the queueing-delay complement to
-//!   [`RankEstimator`]'s rank error.
+//! * [`sojourn`] — the one sampled `(key, stamp)` table per queue
+//!   ([`SojournTracker`]): keys placed by a linear probe from a hashed
+//!   home slot, dropped only when the table is full, and the
+//!   enqueue→extract sojourn-time histogram.
+//! * [`quality`] — [`RankEstimator`], that table plus a rank count
+//!   over it on sampled extractions: the rank-error complement to
+//!   sojourn, exported with it under `quality.*`, `queue.sojourn_ns`
+//!   and `sojourn.*`.
 //!
 //! Overhead budget: with default features a counter increment is one
 //! relaxed `fetch_add` on a thread-private cache line and a histogram

@@ -1,94 +1,100 @@
-//! Sampled per-element *sojourn time*: the wall-clock interval between
-//! an element's insertion and its extraction — the queueing-delay
-//! number scheduling operators reason in.
+//! The sampled `(key, stamp)` table behind a queue's telemetry, and the
+//! per-element *sojourn time* it measures: the wall-clock interval
+//! between an element's insertion and its extraction.
 //!
-//! Tracking every element would mean a timestamp in every set/pool
-//! slot; instead the tracker mirrors the
-//! [`RankEstimator`](crate::RankEstimator)'s shadow-reservoir design: a
-//! fixed lock-free table of `(key, stamp)` slots, sampling inserted
-//! keys at rate `1/2^shift` with a Fibonacci hash that is a pure
-//! function of the key — so the insert and extract sides agree on
-//! which keys are sampled without coordination. A sampled insert
-//! stamps a slot; the matching extract records `now - stamp` into a
-//! log-linear [`Histogram`] and frees the slot.
+//! Tracking every element would mean a timestamp in every set and pool
+//! slot. Instead [`SojournTracker`] samples keys at rate `1/2^shift`
+//! with a Fibonacci hash that is a pure function of the key, so the
+//! insert and extract sides agree on which keys are sampled without
+//! coordination. A sampled insert claims a slot and stamps it; the
+//! matching extraction frees the slot and records `now − stamp` into a
+//! log-linear [`Histogram`]. [`RankEstimator`](crate::RankEstimator)
+//! is this table plus a rank count over its live keys.
 //!
-//! # Sojourn vs. rank
+//! Placement: a sampled key probes linearly from its hashed home slot,
+//! once around the whole table, and takes the first free slot. There is
+//! no shared cursor, and an arrival is dropped (counted, never evicted)
+//! only when every slot is live: eviction would bias both the sojourn
+//! histogram and the rank estimate toward recently inserted keys.
+//! Lookups probe from the home slot too. Equal keys occupy distinct
+//! slots; an extraction frees *a* copy's stamp.
 //!
-//! `quality.est_rank` measures *how wrong* an extraction is (position
-//! error against the shadow population); `queue.sojourn_ns` measures
-//! *how long* elements wait. A strict queue under overload has perfect
-//! rank and terrible sojourn; a deeply relaxed idle queue the reverse.
-//! The estimator's `staleness_ns` is close to sojourn but only covers
-//! keys that were still resident in its (evicting) reservoir —
-//! the sojourn table never overwrites a live slot, so its histogram is
-//! an unbiased sample of matched elements' true waits.
-//!
-//! Duplicate priorities: keys are priorities, and a sampled key that
-//! is inserted twice while the first copy is still queued finds its
-//! slot range occupied and lands in a neighbouring slot (bounded
-//! probing); the extract side matches *a* copy's stamp, which under
-//! FIFO-ish service is an approximation the histogram tolerates.
+//! Everything is `Relaxed`/CAS atomics on fixed storage: no locks, no
+//! allocation after construction. An unsampled key costs one multiply
+//! and one branch. Conservation identities (exact at quiescence,
+//! asserted by the chaos suite): `sampled_inserts == stored + dropped`,
+//! `sampled_extracts == matched + missed`,
+//! `sampled_removes == removed_matched + removed_missed`, and
+//! `live() == stored − matched − removed_matched`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::hist::{HistSnapshot, Histogram};
-use crate::metrics::Counter;
+use crate::hist::Histogram;
 use crate::recorder::now_ns;
-use crate::snapshot::Snapshot;
 
 /// Slot stamp marking "a writer is mid-claim"; readers skip it.
 const CLAIMING: u64 = u64::MAX;
-/// Bounded linear-probe window around a key's home slot.
-const PROBE: usize = 8;
-/// Default slot count (two `u64` arrays: 16 KiB total).
-const DEFAULT_SLOTS: usize = 1024;
+
+/// Default slot count (a key and a stamp each: 8 KiB).
+pub const DEFAULT_SLOTS: usize = 512;
+
+// Indices into `SojournTracker::counts`, in `counters()` order.
+const SAMPLED_INSERTS: usize = 0;
+const STORED: usize = 1;
+const DROPPED: usize = 2;
+const SAMPLED_EXTRACTS: usize = 3;
+const MATCHED: usize = 4;
+const MISSED: usize = 5;
+const SAMPLED_REMOVES: usize = 6;
+const REMOVED_MATCHED: usize = 7;
+const REMOVED_MISSED: usize = 8;
 
 #[inline]
 fn fib(key: u64) -> u64 {
     key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Lock-free sampled sojourn-time tracker (see module docs).
+/// Lock-free sampled sojourn-time table (see module docs).
+///
+/// ```
+/// use obs::SojournTracker;
+/// // shift 0 samples every key.
+/// let t = SojournTracker::with_slots(0, 64);
+/// t.note_insert(7);
+/// t.note_extract(7);
+/// assert_eq!(t.hist().count(), 1);
+/// assert_eq!(t.live(), 0);
+/// ```
 pub struct SojournTracker {
     shift: u32,
-    mask: usize,
     keys: Box<[AtomicU64]>,
+    /// `0` = free, [`CLAIMING`] = being filled, else the insert time in
+    /// ns (forced odd, so never `0` or `CLAIMING`). Kept apart from
+    /// `keys` so a scan reads only the stamp of a free slot.
     stamps: Box<[AtomicU64]>,
-    hist: Histogram,
-    stamped: Counter,
-    matched: Counter,
-    missed: Counter,
-    dropped: Counter,
-    removed: Counter,
+    sojourn_ns: Histogram,
+    counts: [AtomicU64; 9],
 }
 
 impl SojournTracker {
-    /// Sample inserted keys at rate `1/2^shift` (`0` samples every
-    /// key — exact but hot; testing only). `shift` is clamped to 32.
+    /// Sample keys at rate `1/2^shift` (`0` samples every key — exact
+    /// but hot; testing only) in [`DEFAULT_SLOTS`] slots. `shift` is
+    /// clamped to 32.
     pub fn new(shift: u32) -> Self {
         Self::with_slots(shift, DEFAULT_SLOTS)
     }
 
-    /// As [`new`](Self::new) with an explicit slot count (rounded up
-    /// to a power of two, minimum the probe window of 8).
+    /// As [`new`](Self::new) with an explicit slot count, rounded up to
+    /// a power of two. Size it at roughly `expected live elements /
+    /// 2^shift` plus headroom; overflow is counted (`dropped`).
     pub fn with_slots(shift: u32, slots: usize) -> Self {
-        let slots = slots.max(PROBE).next_power_of_two();
-        let mk = || {
-            (0..slots)
-                .map(|_| AtomicU64::new(0))
-                .collect::<Box<[AtomicU64]>>()
-        };
+        let n = slots.max(1).next_power_of_two();
         Self {
             shift: shift.min(32),
-            mask: slots - 1,
-            keys: mk(),
-            stamps: mk(),
-            hist: Histogram::new(),
-            stamped: Counter::new(),
-            matched: Counter::new(),
-            missed: Counter::new(),
-            dropped: Counter::new(),
-            removed: Counter::new(),
+            keys: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            stamps: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            sojourn_ns: Histogram::new(),
+            counts: Default::default(),
         }
     }
 
@@ -99,56 +105,64 @@ impl SojournTracker {
         self.shift == 0 || fib(key) >> (64 - self.shift) == 0
     }
 
-    #[inline]
-    fn home(&self, key: u64) -> usize {
-        // Use a different bit range than the sampling decision so the
-        // surviving keys (top bits zero) still spread over the table.
-        (fib(key) >> 16) as usize & self.mask
+    /// Slot indices in probe order: from `key`'s home slot once around
+    /// the table. The home uses other bits than the sampling test, so
+    /// sampled keys (top bits zero) still spread over the table.
+    fn probe(&self, key: u64) -> impl Iterator<Item = usize> {
+        let mask = self.stamps.len() - 1;
+        let home = (fib(key) >> 16) as usize;
+        (0..=mask).map(move |off| (home + off) & mask)
     }
 
-    /// Note an admitted insertion. Cost for unsampled keys: one
-    /// multiply and shift.
+    fn bump(&self, counter: usize) {
+        self.counts[counter].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Note an admitted insertion.
     #[inline]
     pub fn note_insert(&self, key: u64) {
-        if !self.sampled(key) {
-            return;
+        if self.sampled(key) {
+            self.insert_sampled(key);
         }
-        self.stamp(key);
     }
 
     #[cold]
-    fn stamp(&self, key: u64) {
-        let home = self.home(key);
-        for i in 0..PROBE {
-            let slot = (home + i) & self.mask;
-            if self.stamps[slot]
+    fn insert_sampled(&self, key: u64) {
+        self.bump(SAMPLED_INSERTS);
+        for i in self.probe(key) {
+            if self.stamps[i]
                 .compare_exchange(0, CLAIMING, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok()
             {
-                self.keys[slot].store(key, Ordering::Relaxed);
-                // `| 1` keeps a stamp taken at t=0 distinguishable from
-                // the empty marker; the ≤1ns skew is below bucket width.
-                self.stamps[slot].store(now_ns() | 1, Ordering::Release);
-                self.stamped.incr();
+                self.keys[i].store(key, Ordering::Relaxed);
+                // Release pairs with the Acquire stamp loads in `take` and
+                // `live_keys`: a reader that sees this stamp sees the key.
+                self.stamps[i].store(now_ns() | 1, Ordering::Release);
+                self.bump(STORED);
                 return;
             }
         }
-        self.dropped.incr();
+        self.bump(DROPPED);
     }
 
     /// Note an extraction: on a match records the element's sojourn
-    /// and frees the slot.
+    /// and frees its slot.
     #[inline]
     pub fn note_extract(&self, key: u64) {
-        if !self.sampled(key) {
-            return;
+        if self.sampled(key) {
+            self.extract_sampled(key);
         }
+    }
+
+    #[cold]
+    pub(crate) fn extract_sampled(&self, key: u64) {
+        self.bump(SAMPLED_EXTRACTS);
         match self.take(key) {
             Some(stamp) => {
-                self.hist.record(now_ns().saturating_sub(stamp));
-                self.matched.incr();
+                self.sojourn_ns.record(now_ns().saturating_sub(stamp));
+                self.bump(MATCHED);
             }
-            None => self.missed.incr(),
+            None => self.bump(MISSED),
         }
     }
 
@@ -157,109 +171,73 @@ impl SojournTracker {
     /// a sojourn.
     #[inline]
     pub fn note_remove(&self, key: u64) {
-        if !self.sampled(key) {
-            return;
-        }
-        if self.take(key).is_some() {
-            self.removed.incr();
+        if self.sampled(key) {
+            self.remove_sampled(key);
         }
     }
 
     #[cold]
+    fn remove_sampled(&self, key: u64) {
+        self.bump(SAMPLED_REMOVES);
+        let hit = self.take(key).is_some();
+        self.bump(if hit { REMOVED_MATCHED } else { REMOVED_MISSED });
+    }
+
+    /// Free the first live slot holding `key` in probe order, returning
+    /// its stamp.
     fn take(&self, key: u64) -> Option<u64> {
-        let home = self.home(key);
-        for i in 0..PROBE {
-            let slot = (home + i) & self.mask;
-            let stamp = self.stamps[slot].load(Ordering::Acquire);
-            if stamp == 0 || stamp == CLAIMING {
+        for i in self.probe(key) {
+            let stamp = self.stamps[i].load(Ordering::Acquire);
+            if matches!(stamp, 0 | CLAIMING) || self.keys[i].load(Ordering::Relaxed) != key {
                 continue;
             }
-            if self.keys[slot].load(Ordering::Relaxed) != key {
-                continue;
-            }
-            if self.stamps[slot]
-                .compare_exchange(stamp, CLAIMING, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                self.stamps[slot].store(0, Ordering::Release);
-                return Some(stamp);
-            }
+            // Free the slot only if it still holds the stamp we saw: a
+            // concurrent extraction of an equal key may have beaten us to
+            // it (then probing on is not worth the noise — a miss).
+            return self.stamps[i]
+                .compare_exchange(stamp, 0, Ordering::AcqRel, Ordering::Relaxed)
+                .ok();
         }
         None
     }
 
-    /// The sampling shift.
+    /// The keys in live slots, in slot order.
+    pub(crate) fn live_keys(&self) -> impl Iterator<Item = u64> + '_ {
+        (self.stamps.iter().zip(self.keys.iter()))
+            .filter(|(s, _)| !matches!(s.load(Ordering::Acquire), 0 | CLAIMING))
+            .map(|(_, k)| k.load(Ordering::Relaxed))
+    }
+
+    /// The sampling shift (rate is `1/2^shift`).
     pub fn sample_shift(&self) -> u32 {
         self.shift
     }
 
     /// Table slot count.
     pub fn slots(&self) -> usize {
-        self.mask + 1
+        self.stamps.len()
     }
 
-    /// Slots currently holding a live stamp.
+    /// Slots holding a live stamp — the sampled view of the queue's
+    /// current population.
     pub fn live(&self) -> usize {
-        self.stamps
-            .iter()
-            .filter(|s| {
-                let v = s.load(Ordering::Relaxed);
-                v != 0 && v != CLAIMING
-            })
-            .count()
+        self.live_keys().count()
     }
 
-    /// The sojourn histogram (ns).
+    /// The sojourn histogram (ns between a sampled key's insert and its
+    /// extraction).
     pub fn hist(&self) -> &Histogram {
-        &self.hist
+        &self.sojourn_ns
     }
 
-    /// `(stamped, matched, missed, dropped, removed)` counter values.
-    pub fn counters(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.stamped.get(),
-            self.matched.get(),
-            self.missed.get(),
-            self.dropped.get(),
-            self.removed.get(),
-        )
-    }
-
-    /// Export `queue.sojourn_ns` plus the `sojourn.*` accounting into
-    /// `s`, folded over `trackers`: one queue's tracker, or one per shard
-    /// of a sharded queue. Counters, table gauges and the histogram are
-    /// summed; the sample shift is the first tracker's. Exports nothing
-    /// when `trackers` is empty.
-    pub fn export<'a>(trackers: impl IntoIterator<Item = &'a SojournTracker>, s: &mut Snapshot) {
-        let mut trackers = trackers.into_iter().peekable();
-        let Some(shift) = trackers.peek().map(|t| t.shift) else {
-            return;
-        };
-        let mut c = [0u64; 5];
-        let (mut live, mut slots) = (0usize, 0usize);
-        let mut hist = HistSnapshot::default();
-        for t in trackers {
-            let (stamped, matched, missed, dropped, removed) = t.counters();
-            for (dst, v) in c
-                .iter_mut()
-                .zip([stamped, matched, missed, dropped, removed])
-            {
-                *dst += v;
-            }
-            live += t.live();
-            slots += t.slots();
-            hist.absorb(&t.hist.snapshot());
-        }
-        let [stamped, matched, missed, dropped, removed] = c;
-        s.push_hist_snapshot("queue.sojourn_ns", hist);
-        s.push_counter("sojourn.stamped", stamped);
-        s.push_counter("sojourn.matched", matched);
-        s.push_counter("sojourn.missed", missed);
-        s.push_counter("sojourn.dropped", dropped);
-        s.push_counter("sojourn.removed", removed);
-        s.push_gauge("sojourn.sample_shift", i64::from(shift));
-        s.push_gauge("sojourn.table.live", live as i64);
-        s.push_gauge("sojourn.table.slots", slots as i64);
+    /// The conservation counters: `(sampled_inserts, stored, dropped,
+    /// sampled_extracts, matched, missed, sampled_removes,
+    /// removed_matched, removed_missed)`.
+    #[allow(clippy::type_complexity)]
+    pub fn counters(&self) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64) {
+        let [si, st, dr, se, ma, mi, sr, rm, rs] =
+            self.counts.each_ref().map(|c| c.load(Ordering::Relaxed));
+        (si, st, dr, se, ma, mi, sr, rm, rs)
     }
 }
 
@@ -287,6 +265,23 @@ mod tests {
     }
 
     #[test]
+    fn sampling_decision_is_consistent_and_near_rate() {
+        let t = SojournTracker::new(6);
+        let mut sampled = 0u64;
+        for k in 0..100_000u64 {
+            if t.sampled(k) {
+                sampled += 1;
+                assert!(t.sampled(k), "decision must be stable");
+            }
+        }
+        // 1/64 of 100k ≈ 1562; allow generous tolerance for hash shape.
+        assert!(
+            (800..2600).contains(&sampled),
+            "sample rate off: {sampled}/100000"
+        );
+    }
+
+    #[test]
     fn insert_extract_records_sojourn() {
         let t = SojournTracker::with_slots(0, 64);
         t.note_insert(42);
@@ -294,8 +289,9 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         t.note_extract(42);
         assert_eq!(t.live(), 0);
-        let (stamped, matched, missed, dropped, _) = t.counters();
+        let (si, stamped, dropped, se, matched, missed, ..) = t.counters();
         assert_eq!((stamped, matched, missed, dropped), (1, 1, 0, 0));
+        assert_eq!((si, se), (1, 1));
         assert_eq!(t.hist().count(), 1);
         assert!(
             t.hist().quantile(0.5) >= 1_000_000,
@@ -308,7 +304,7 @@ mod tests {
     fn extract_without_insert_misses() {
         let t = SojournTracker::with_slots(0, 64);
         t.note_extract(7);
-        assert_eq!(t.counters().2, 1, "missed");
+        assert_eq!(t.counters().5, 1, "missed");
         assert_eq!(t.hist().count(), 0);
     }
 
@@ -319,21 +315,50 @@ mod tests {
         t.note_remove(5);
         assert_eq!(t.live(), 0);
         assert_eq!(t.hist().count(), 0);
-        assert_eq!(t.counters().4, 1, "removed");
+        let (.., sr, rm, rs) = t.counters();
+        assert_eq!((sr, rm, rs), (1, 1, 0), "removed");
         // The freed slot is reusable.
         t.note_insert(5);
         assert_eq!(t.live(), 1);
+        // Removing an untracked key misses.
+        t.note_remove(99);
+        let (.., rm, rs) = t.counters();
+        assert_eq!((rm, rs), (1, 1));
     }
 
     #[test]
-    fn probe_window_overflow_drops() {
-        let t = SojournTracker::with_slots(0, 8); // mask covers one probe window
+    fn table_overflow_drops_and_counts() {
+        let t = SojournTracker::with_slots(0, 8);
         for k in 0..20u64 {
             t.note_insert(k);
         }
-        let (stamped, _, _, dropped, _) = t.counters();
+        let (si, stamped, dropped, ..) = t.counters();
+        assert_eq!(si, 20);
         assert_eq!(stamped, 8, "table full at slot count");
         assert_eq!(dropped, 12);
+        assert_eq!(t.live(), 8);
+    }
+
+    #[test]
+    fn shared_home_slot_fills_the_whole_table_before_dropping() {
+        let t = SojournTracker::with_slots(0, 64);
+        let home = |k: u64| (fib(k) >> 16) as usize & 63;
+        let keys: Vec<u64> = (1..).filter(|&k| home(k) == home(0)).take(65).collect();
+        for (n, &k) in keys.iter().enumerate() {
+            t.note_insert(k);
+            let (_, stored, dropped, ..) = t.counters();
+            if n < 64 {
+                assert_eq!((stored, dropped), (n as u64 + 1, 0), "key {n} stored");
+            } else {
+                assert_eq!((stored, dropped), (64, 1), "only the 65th dropped");
+            }
+        }
+        for &k in &keys {
+            t.note_extract(k);
+        }
+        let (.., se, matched, missed, _, _, _) = t.counters();
+        assert_eq!((se, matched, missed), (65, 64, 1));
+        assert_eq!(t.live(), 0);
     }
 
     #[test]
@@ -345,7 +370,7 @@ mod tests {
         t.note_extract(9);
         t.note_extract(9);
         assert_eq!(t.live(), 0);
-        assert_eq!(t.counters().1, 2, "both copies matched");
+        assert_eq!(t.counters().4, 2, "both copies matched");
     }
 
     #[test]
@@ -364,26 +389,14 @@ mod tests {
                 });
             }
         });
-        let (stamped, matched, missed, dropped, removed) = t.counters();
+        let (si, stamped, dropped, se, matched, missed, sr, removed, _) = t.counters();
         // Every stamp is consumed by exactly one match (keys are
         // disjoint per thread and extracted by the stamping thread).
         assert_eq!(stamped, matched);
-        assert_eq!(removed, 0);
+        assert_eq!((sr, removed), (0, 0));
+        assert_eq!((si, se), (20_000, 20_000));
         assert_eq!(stamped + dropped, 20_000);
         assert_eq!(matched + missed, 20_000);
         assert_eq!(t.live(), 0, "no leaked slots");
-    }
-
-    #[test]
-    fn snapshot_exports_expected_names() {
-        let t = SojournTracker::with_slots(0, 64);
-        t.note_insert(1);
-        t.note_extract(1);
-        let mut s = Snapshot::new();
-        SojournTracker::export([&t], &mut s);
-        assert!(s.hist("queue.sojourn_ns").is_some());
-        assert_eq!(s.counter("sojourn.stamped"), Some(1));
-        assert_eq!(s.counter("sojourn.matched"), Some(1));
-        assert_eq!(s.gauge("sojourn.table.slots"), Some(64));
     }
 }

@@ -1,17 +1,19 @@
 //! Estimator-vs-oracle validation harness.
 //!
 //! The `obs::RankEstimator` inside a ZMSQ reports *estimated* rank
-//! errors from a sampled shadow reservoir; the [`RankOracle`] computes
-//! *exact* rank errors from a full shadow multiset. This module drives
-//! both from the same seeded, single-threaded workload so tests can
-//! bound how far the cheap estimate drifts from the ground truth.
+//! errors from its sampled `(key, stamp)` table; the [`RankOracle`]
+//! computes *exact* rank errors from a full shadow multiset. This
+//! module drives both from the same seeded, single-threaded workload so
+//! tests can bound how far the cheap estimate drifts from the ground
+//! truth.
 //!
 //! Determinism: the workload keys come from a seeded [`DetRng`], the
-//! estimator's sampling decision is a pure hash of the key, its
-//! reservoir cursor advances deterministically, and a single thread
-//! removes all scheduling nondeterminism — a given `(config, seed)`
-//! pair always produces the same [`QualityReport`], so tests can assert
-//! tight windows without flaking.
+//! estimator's sampling decision and each key's home slot are pure
+//! hashes of the key, placement is a linear probe from that home slot
+//! (no shared cursor; a key is dropped only when every slot is live),
+//! and a single thread removes all scheduling nondeterminism — a given
+//! `(config, seed)` pair always produces the same [`QualityReport`], so
+//! tests can assert tight windows without flaking.
 
 use fault::DetRng;
 use pq_traits::ConcurrentPriorityQueue;

@@ -139,28 +139,22 @@ pub struct ZmsqConfig {
     /// What happens when an insertion finds the queue at
     /// [`capacity`](Self::capacity). Ignored while unbounded.
     pub shed: ShedPolicy,
-    /// Online rank-error telemetry: `Some(shift)` attaches an
-    /// `obs::RankEstimator` sampling inserted keys at rate `1/2^shift`
-    /// and reporting estimated per-extraction rank, staleness age and
-    /// wasted-work ratio under `quality.*` in
-    /// [`metrics`](pq_traits::ConcurrentPriorityQueue::metrics).
-    /// `None` disables it (zero overhead). Defaults to `Some(6)` —
-    /// 1/64 sampling, whose cost the `obs_overhead` bench bounds below
-    /// 5% per op. The shift is clamped to `0..=32` during
-    /// normalization (`0` samples every key: exact but O(reservoir)
-    /// per op — testing only).
+    /// Rank-error and sojourn telemetry: `Some(shift)` attaches an
+    /// `obs::RankEstimator`, one sampled `(key, stamp)` table of 512
+    /// slots holding inserted keys sampled at rate `1/2^shift`. A
+    /// sampled key takes the first free slot on a linear probe from its
+    /// hashed home slot and is dropped only when every slot is live; a
+    /// sampled extraction scans the table for the estimated rank and
+    /// frees the key's slot, recording its enqueue→extract wall time.
+    /// [`metrics`](pq_traits::ConcurrentPriorityQueue::metrics) exports
+    /// per-extraction rank, staleness and wasted-work ratio under
+    /// `quality.*`, and the same table's sojourn as `queue.sojourn_ns`
+    /// and `sojourn.*`. `None` disables it (zero overhead). Defaults to
+    /// `Some(6)` — 1/64 sampling, whose cost the `obs_overhead` bench
+    /// bounds per op. The shift is clamped to `0..=32` during
+    /// normalization (`0` samples every key: exact but O(table) per op
+    /// — testing only).
     pub rank_estimator: Option<u32>,
-    /// Sampled sojourn-time telemetry: `Some(shift)` attaches an
-    /// [`obs::SojournTracker`] stamping inserted keys at rate
-    /// `1/2^shift` and recording enqueue→extract wall time into the
-    /// `queue.sojourn_ns` histogram surfaced by
-    /// [`metrics`](pq_traits::ConcurrentPriorityQueue::metrics).
-    /// `None` disables it (zero overhead). Defaults to `Some(6)` —
-    /// the same 1/64 rate as the rank estimator; the combined cost is
-    /// bounded by the `obs_overhead` bench's per-op budget. Clamped to
-    /// `0..=32` during normalization (`0` stamps every key — testing
-    /// only).
-    pub sojourn: Option<u32>,
 }
 
 impl ZmsqConfig {
@@ -182,7 +176,6 @@ impl ZmsqConfig {
             capacity: None,
             shed: ShedPolicy::Block,
             rank_estimator: Some(6),
-            sojourn: Some(6),
         }
     }
 
@@ -309,24 +302,19 @@ impl ZmsqConfig {
     }
 
     /// Detach the rank-error estimator (builder style): no sampling, no
-    /// `quality.*` metrics, zero per-op overhead.
+    /// `quality.*`, `queue.sojourn_ns` or `sojourn.*` metrics, zero
+    /// per-op overhead.
     pub fn no_rank_estimator(mut self) -> Self {
         self.rank_estimator = None;
         self
     }
 
-    /// Attach the sojourn-time tracker stamping at rate `1/2^shift`
-    /// (builder style). `shift = 0` stamps everything (testing only).
-    pub fn sojourn(mut self, shift: u32) -> Self {
-        self.sojourn = Some(shift);
-        self
-    }
-
-    /// Detach the sojourn-time tracker (builder style): no stamping,
-    /// no `queue.sojourn_ns` histogram, zero per-op overhead.
-    pub fn no_sojourn(mut self) -> Self {
-        self.sojourn = None;
-        self
+    /// Alias of [`no_rank_estimator`](Self::no_rank_estimator): sojourn
+    /// is measured by the estimator's table. Kept only because the
+    /// `zbench` benchmark calls it; it goes when that benchmark drops
+    /// its separate sojourn measurement.
+    pub fn no_sojourn(self) -> Self {
+        self.no_rank_estimator()
     }
 
     /// Validate and normalize; called by the queue constructor.
@@ -368,9 +356,6 @@ impl ZmsqConfig {
         if let Some(shift) = self.rank_estimator {
             self.rank_estimator = Some(shift.min(32));
         }
-        if let Some(shift) = self.sojourn {
-            self.sojourn = Some(shift.min(32));
-        }
         self
     }
 }
@@ -391,7 +376,10 @@ mod tests {
         assert_eq!((c.batch, c.target_len), (48, 72));
         assert_eq!(c.lock_strategy, LockStrategy::TryRestart);
         assert_eq!(c.reclamation, Reclamation::ConsumerWait);
-        assert_eq!(ZmsqConfig::sssp_tuned().reclamation, Reclamation::ConsumerWait);
+        assert_eq!(
+            ZmsqConfig::sssp_tuned().reclamation,
+            Reclamation::ConsumerWait
+        );
     }
 
     #[test]
@@ -520,23 +508,13 @@ mod tests {
     }
 
     #[test]
-    fn sojourn_defaults_on_and_clamps() {
-        assert_eq!(ZmsqConfig::default().sojourn, Some(6));
-        let c = ZmsqConfig::default().no_sojourn();
-        assert_eq!(c.sojourn, None);
-        assert_eq!(c.normalized().sojourn, None);
-        let c = ZmsqConfig::default().sojourn(0).normalized();
-        assert_eq!(c.sojourn, Some(0));
-        let c = ZmsqConfig::default().sojourn(99).normalized();
-        assert_eq!(c.sojourn, Some(32), "shift clamped to 32");
-    }
-
-    #[test]
     fn rank_estimator_defaults_on_and_clamps() {
         assert_eq!(ZmsqConfig::default().rank_estimator, Some(6));
         let c = ZmsqConfig::default().no_rank_estimator();
         assert_eq!(c.rank_estimator, None);
         assert_eq!(c.normalized().rank_estimator, None);
+        let c = ZmsqConfig::default().no_sojourn();
+        assert_eq!(c.rank_estimator, None, "no_sojourn is an alias");
         let c = ZmsqConfig::default().rank_estimator(0).normalized();
         assert_eq!(c.rank_estimator, Some(0));
         let c = ZmsqConfig::default().rank_estimator(99).normalized();

@@ -179,7 +179,6 @@ impl<V: Send + 'static, S: NodeSet<V> + 'static, L: RawTryLock + 'static>
             );
         }
         obs::RankEstimator::export(self.rank_estimator(), &mut s);
-        obs::SojournTracker::export(self.sojourn_tracker(), &mut s);
         Some(s)
     }
 }

@@ -735,7 +735,9 @@ mod tests {
 
     /// Simulate a claimant stuck between its `fetch_sub` and its read.
     fn claim_without_read(pool: &Pool<u64>) -> (*mut PoolBuf<u64>, usize) {
-        let Pool::Ring(ring) = pool else { unreachable!() };
+        let Pool::Ring(ring) = pool else {
+            unreachable!()
+        };
         let buf = ring.cur.load(Ordering::Acquire);
         // SAFETY: ring buffers live as long as the pool.
         let top = unsafe { &*buf }.next.fetch_sub(1, Ordering::AcqRel);
@@ -752,7 +754,9 @@ mod tests {
     }
 
     fn drain(pool: &Pool<u64>) -> Vec<u64> {
-        std::iter::from_fn(|| pool.try_claim()).map(|(k, _)| k).collect()
+        std::iter::from_fn(|| pool.try_claim())
+            .map(|(k, _)| k)
+            .collect()
     }
 
     #[test]

@@ -120,14 +120,15 @@ where
     /// equals the true queue length.
     occupancy: CachePadded<AtomicUsize>,
     stats: Stats,
-    /// Online rank-error telemetry, allocated iff `cfg.rank_estimator`
-    /// is set: a lock-free sampled shadow reservoir fed by every
-    /// insert/extract path and exported as `quality.*` metrics.
-    rank_est: Option<obs::RankEstimator>,
-    /// Sampled sojourn-time telemetry, allocated iff `cfg.sojourn` is
-    /// set: a lock-free stamp table recording enqueue→extract wall time
-    /// into the `queue.sojourn_ns` histogram.
-    sojourn: Option<obs::SojournTracker>,
+    /// Rank-error and sojourn telemetry, allocated iff
+    /// `cfg.rank_estimator` is set: one lock-free sampled `(key, stamp)`
+    /// table fed by every insert/extract path and exported as
+    /// `quality.*`, `queue.sojourn_ns` and `sojourn.*` metrics. Padded
+    /// because every thread writes its counters and histograms on
+    /// sampled ops: unpadded, they shared cache lines with the queue's
+    /// hot fields and cost `ShardedZmsq` about a fifth of its zbench
+    /// `sharded` throughput.
+    rank_est: CachePadded<Option<obs::RankEstimator>>,
     /// Effective refill batch, `cfg.batch_min ..= cfg.batch_max`. Equal
     /// to `cfg.batch` unless an adaptive controller (see `ShardedZmsq`)
     /// moves it at runtime.
@@ -386,20 +387,15 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
             refill_scratch: UnsafeCell::new(Vec::with_capacity(cfg.batch_max)),
             batch_cur: AtomicUsize::new(cfg.batch),
             stats: Stats::default(),
-            rank_est: cfg.rank_estimator.map(obs::RankEstimator::new),
-            sojourn: cfg.sojourn.map(obs::SojournTracker::new),
+            rank_est: CachePadded::new(cfg.rank_estimator.map(obs::RankEstimator::new)),
             cfg,
         }
     }
 
-    /// The attached rank-error estimator, if `cfg.rank_estimator` is set.
+    /// The attached rank-error estimator and its sampled sojourn table,
+    /// if `cfg.rank_estimator` is set.
     pub fn rank_estimator(&self) -> Option<&obs::RankEstimator> {
         self.rank_est.as_ref()
-    }
-
-    /// The attached sojourn-time tracker, if `cfg.sojourn` is set.
-    pub fn sojourn_tracker(&self) -> Option<&obs::SojournTracker> {
-        self.sojourn.as_ref()
     }
 
     /// The queue's (normalized) configuration.
@@ -489,11 +485,8 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         det::det_point!("zmsq.insert");
         // Every path below ends with the element inserted (the retry
         // loop is infallible), so the shadow sample is noted up front.
-        if let Some(est) = &self.rank_est {
+        if let Some(est) = &*self.rank_est {
             est.note_insert(prio);
-        }
-        if let Some(soj) = &self.sojourn {
-            soj.note_insert(prio);
         }
         let _walk = obs::span!(obs::SpanPhase::TreeWalk);
         let mut value = value;
@@ -568,16 +561,11 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
             let take = items.len().min(self.cfg.target_len.max(1));
             let start = items.len() - take;
             let chunk_max = items.last().expect("nonempty").0;
-            if let Some(est) = &self.rank_est {
+            if let Some(est) = &*self.rank_est {
                 // The placement loop below is infallible: every chunk
                 // element will be inserted exactly once.
                 for &(k, _) in &items[start..] {
                     est.note_insert(k);
-                }
-            }
-            if let Some(soj) = &self.sojourn {
-                for &(k, _) in &items[start..] {
-                    soj.note_insert(k);
                 }
             }
             loop {
@@ -992,15 +980,12 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         true
     }
 
-    /// Release `key`'s rank-estimator slot and sojourn stamp without
-    /// recording a sample: an eviction or a give-back is not a hand-out
-    /// (no rank) nor a service completion (no sojourn).
+    /// Release `key`'s telemetry slot without recording a sample: an
+    /// eviction or a give-back is not a hand-out (no rank) nor a
+    /// service completion (no sojourn).
     fn note_removed(&self, key: u64) {
-        if let Some(est) = &self.rank_est {
+        if let Some(est) = &*self.rank_est {
             est.note_remove(key);
-        }
-        if let Some(soj) = &self.sojourn {
-            soj.note_remove(key);
         }
     }
 
@@ -1220,8 +1205,8 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
             // admitted path: its occupancy reservation was never
             // released, so re-running admission would double-count it
             // (and could block or shed an element we must not lose).
-            // `insert_admitted` notes the key again, so its shadow slot
-            // and sojourn stamp are released first.
+            // `insert_admitted` notes the key again, so its telemetry
+            // slot is released first.
             self.note_removed(key);
             self.insert_admitted(key, value);
         }
@@ -1265,7 +1250,7 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
 
     /// Hand-out bookkeeping for the elements one pool claim or root
     /// extraction handed out: counters, trace event, rank and sojourn
-    /// telemetry, and the capacity release.
+    /// telemetry (one table), and the capacity release.
     #[inline(always)]
     fn hand_out(&self, items: &[(u64, V)], from_pool: bool) {
         let n = items.len();
@@ -1276,12 +1261,9 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         } else {
             obs::trace_event!(obs::EventKind::Extract, 0, items[0].0);
         }
-        for &(key, _) in items {
-            if let Some(est) = &self.rank_est {
+        if let Some(est) = &*self.rank_est {
+            for &(key, _) in items {
                 est.note_extract(key);
-            }
-            if let Some(soj) = &self.sojourn {
-                soj.note_extract(key);
             }
         }
         self.release_capacity(n);
@@ -1839,6 +1821,15 @@ mod tests {
         assert_eq!(q.drain_count(), 500);
         let snap = pq_traits::ConcurrentPriorityQueue::metrics(&q).unwrap();
         assert_eq!(snap.gauge("zmsq.pool.buffers"), Some(1));
+        // Rank and sojourn come from one table: every matched sampled
+        // extraction is one staleness and one sojourn sample.
+        let matched = snap.counter("quality.matched").unwrap();
+        assert!(
+            matched > 0,
+            "the default 1/64 sampling hits some of 500 keys"
+        );
+        assert_eq!(snap.hist("queue.sojourn_ns").unwrap().count, matched);
+        assert_eq!(snap.hist("quality.staleness_ns").unwrap().count, matched);
         let strict = Q::with_config(ZmsqConfig::strict());
         assert_eq!(strict.stats().pool_buffers, 0, "strict mode has no pool");
     }

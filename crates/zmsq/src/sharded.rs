@@ -730,13 +730,8 @@ impl<V: Send + 'static, S: NodeSet<V> + 'static, L: RawTryLock + 'static>
         // tail, so this fold is a *lower bound* on global rank error.
         // Per-shard sojourns are true end-to-end waits regardless of
         // which shard served the key.
-        let shards = &self.core.shards;
         obs::RankEstimator::export(
-            shards.iter().filter_map(|sh| sh.rank_estimator()),
-            &mut snap,
-        );
-        obs::SojournTracker::export(
-            shards.iter().filter_map(|sh| sh.sojourn_tracker()),
+            self.core.shards.iter().filter_map(|sh| sh.rank_estimator()),
             &mut snap,
         );
         Some(snap)
@@ -1127,7 +1122,8 @@ mod tests {
     #[test]
     fn metrics_fold_per_shard_sojourn() {
         // shift 0: every key is stamped, so the folded counters are exact.
-        let q: ShardedZmsq<u64> = ShardedZmsq::new(4, ZmsqConfig::default().batch(4).sojourn(0));
+        let q: ShardedZmsq<u64> =
+            ShardedZmsq::new(4, ZmsqConfig::default().batch(4).rank_estimator(0));
         for i in 0..200u64 {
             q.insert(i, i);
         }
@@ -1166,7 +1162,7 @@ mod tests {
             names.sort();
             names
         }
-        let cfg = ZmsqConfig::default().batch(4).rank_estimator(0).sojourn(0);
+        let cfg = ZmsqConfig::default().batch(4).rank_estimator(0);
         let sharded: ShardedZmsq<u64> = ShardedZmsq::new(2, cfg.clone());
         let single: Zmsq<u64> = Zmsq::with_config(cfg);
         for i in 0..50u64 {

@@ -107,7 +107,11 @@ fn warm_default_queue_stays_under_allocation_ceiling() {
         per_op <= CEILING,
         "warm default Zmsq made {per_op:.5} allocator calls/op (ceiling {CEILING})"
     );
-    assert_eq!(q.stats().pool_buffers, 1, "one thread never lags its refill");
+    assert_eq!(
+        q.stats().pool_buffers,
+        1,
+        "one thread never lags its refill"
+    );
 }
 
 #[test]
