@@ -2,7 +2,9 @@
 //!
 //! DESIGN.md calls out two quality mechanisms layered on the mound:
 //! forced non-max insertion and the parent-min swap. This harness
-//! disables each in turn and reports what they buy, on three metrics:
+//! disables each in turn, and separately the merge refill (`no-merge`:
+//! Listing 2's root-only refill), and reports what they buy, on three
+//! metrics:
 //!
 //! * **set density** — mean/σ of non-leaf set sizes after a mixed
 //!   workload (§3.2's stability metric; the mound degenerates to ~1);
@@ -32,6 +34,11 @@ fn variant(name: &str) -> (String, ZmsqConfig) {
         "neither" => QualityOpts {
             forced_insert: false,
             parent_min_swap: false,
+            ..Default::default()
+        },
+        "no-merge" => QualityOpts {
+            merge_refill: false,
+            ..Default::default()
         },
         _ => unreachable!(),
     };
@@ -54,7 +61,7 @@ fn main() {
         "forced_inserts",
         "min_swaps",
     ]);
-    for name in ["full", "no-forced", "no-minswap", "neither"] {
+    for name in ["full", "no-forced", "no-minswap", "neither", "no-merge"] {
         let (label, cfg) = variant(name);
 
         // Density after a mixed workload (the §3.2 protocol, scaled).

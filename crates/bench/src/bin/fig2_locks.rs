@@ -24,12 +24,15 @@ fn run_one<L: RawTryLock + 'static>(
     ops: u64,
     stats: bool,
 ) -> (f64, String) {
-    // The paper's ZMSQ arm: hazard-pointer pool, not the default ring.
-    let cfg = ZmsqConfig::default()
-        .reclamation(Reclamation::Hazard)
-        .batch(32)
-        .target_len(32)
-        .lock_strategy(strategy);
+    // The paper's ZMSQ arm: hazard-pointer pool, not the default ring,
+    // and Listing 2's root-only refill.
+    let cfg = bench::queues::listing2(
+        ZmsqConfig::default()
+            .reclamation(Reclamation::Hazard)
+            .batch(32)
+            .target_len(32)
+            .lock_strategy(strategy),
+    );
     let q: Zmsq<u64, zmsq::ListSet<u64>, L> = Zmsq::with_config(cfg);
     let (insert_pct, prefill, keys) = match mix {
         "insert" => (

@@ -13,9 +13,10 @@ use workloads::keys::KeyDist;
 use workloads::prodcons::{run_prodcons_blocking, run_prodcons_spin, ProdConsConfig};
 use zmsq::{Reclamation, Zmsq, ZmsqConfig};
 
-/// The paper's ZMSQ arm: hazard-pointer pool, not the default ring.
+/// The paper's ZMSQ arm: hazard-pointer pool, not the default ring, and
+/// Listing 2's root-only refill.
 fn paper_zmsq() -> ZmsqConfig {
-    ZmsqConfig::default().reclamation(Reclamation::Hazard)
+    bench::queues::listing2(ZmsqConfig::default().reclamation(Reclamation::Hazard))
 }
 
 fn main() {

@@ -26,6 +26,7 @@ fn main() {
                 .quality(QualityOpts {
                     parent_min_swap: false,
                     forced_insert: false,
+                    ..Default::default()
                 }),
         ),
     ] {

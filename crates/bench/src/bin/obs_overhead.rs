@@ -13,8 +13,13 @@
 //!   extract scans the table for the rank estimate and records the
 //!   sojourn; every other op is one multiply+branch). Same ≤5% budget.
 //!
-//! — and reports each arm's marginal overhead over `bare`. Medians over
-//! interleaved trials damp frequency drift.
+//! — and reports each arm's marginal overhead over `bare`. Every trial
+//! builds a fresh `bare` queue and a fresh `telemetry` queue and runs the
+//! three arms in an order that rotates from trial to trial; `bare` and
+//! `counter+hist` alternate on the same queue. Per-queue state (tree
+//! shape, pool ring, heap placement) is thereby redrawn each trial
+//! instead of biasing one arm for the whole run, and the per-arm medians
+//! damp frequency drift.
 //!
 //! The span layer has a stronger contract: compiled out entirely
 //! without `--features obs-trace`. On such builds this bench asserts
@@ -35,13 +40,16 @@ use zmsq::{Zmsq, ZmsqConfig};
 static COUNTER: obs::Counter = obs::Counter::new();
 static HIST: obs::Histogram = obs::Histogram::new();
 
-/// Run `ops` insert/extract pairs, returning ns per pair.
+/// Run `ops` hold-model pairs (extract the best, insert it back minus a
+/// pseudo-random 20-bit decrement), returning ns per pair. The queue's
+/// key distribution is stationary under this stream, so a trial measures
+/// the same queue state however many pairs ran before it.
 fn run_trial(q: &Zmsq<u64>, ops: u64, instrumented: bool) -> f64 {
     let t = Instant::now();
     for i in 0..ops {
-        let k = (i.wrapping_mul(2654435761)) % (1 << 20);
-        q.insert(k, i);
-        std::hint::black_box(q.extract_max());
+        let (k, v) = q.extract_max().expect("the queue stays prefilled");
+        let k = k.saturating_sub(i.wrapping_mul(2654435761) % (1 << 20));
+        q.insert(k, v);
         if instrumented {
             COUNTER.incr();
             HIST.record(k);
@@ -55,10 +63,15 @@ fn median(xs: &mut [f64]) -> f64 {
     xs[xs.len() / 2]
 }
 
-fn prefill(q: &Zmsq<u64>, n: u64) {
-    for i in 0..n {
-        q.insert((i * 2654435761) % (1 << 20), i);
+/// A queue with `cfg`, prefilled with `ops / 4` keys and warmed with
+/// `ops / 10` uninstrumented pairs.
+fn fresh_queue(cfg: ZmsqConfig, ops: u64) -> Zmsq<u64> {
+    let q = Zmsq::with_config(cfg);
+    for i in 0..ops / 4 {
+        q.insert((1 << 40) + (i * 2654435761) % (1 << 20), i);
     }
+    run_trial(&q, ops / 10, false);
+    q
 }
 
 fn main() {
@@ -85,40 +98,37 @@ fn main() {
         eprintln!("note: obs-trace build — span recording is compiled in and counted in `bare`");
     }
 
-    let q_bare: Zmsq<u64> = Zmsq::with_config(ZmsqConfig::default().no_rank_estimator());
-    let q_tel: Zmsq<u64> = Zmsq::with_config(ZmsqConfig::default());
-    assert!(
-        q_tel.rank_estimator().is_some(),
-        "default config must carry the telemetry table"
-    );
-    prefill(&q_bare, ops / 4);
-    prefill(&q_tel, ops / 4);
-    // Warm every path (page in the statics, settle the pools).
-    run_trial(&q_bare, ops / 10, false);
-    run_trial(&q_bare, ops / 10, true);
-    run_trial(&q_tel, ops / 10, false);
+    // Page in the recording statics before the first timed trial.
+    run_trial(&fresh_queue(ZmsqConfig::default(), 1_000), 1_000, true);
 
     let (mut bare, mut inst, mut tel) = (Vec::new(), Vec::new(), Vec::new());
-    for _ in 0..trials {
-        bare.push(run_trial(&q_bare, ops, false));
-        inst.push(run_trial(&q_bare, ops, true));
-        tel.push(run_trial(&q_tel, ops, false));
+    for trial in 0..trials {
+        let q_bare = fresh_queue(ZmsqConfig::default().no_rank_estimator(), ops);
+        let q_tel = fresh_queue(ZmsqConfig::default(), ops);
+        for arm in 0..3 {
+            match (arm + trial) % 3 {
+                0 => bare.push(run_trial(&q_bare, ops, false)),
+                1 => inst.push(run_trial(&q_bare, ops, true)),
+                _ => tel.push(run_trial(&q_tel, ops, false)),
+            }
+        }
+        // The telemetry arm must actually have sampled and matched: at
+        // shift 6 over a trial's inserts the expected sample count is in
+        // the thousands, so zero means the hooks are disconnected, not
+        // that the notes are fast.
+        let est = q_tel
+            .rank_estimator()
+            .expect("default config must carry the telemetry table");
+        let (sampled_inserts, stored, _, sampled_extracts, matched, ..) = est.counters();
+        assert!(
+            sampled_inserts > 0 && stored > 0 && sampled_extracts > 0 && matched > 0,
+            "telemetry arm never sampled (inserts {sampled_inserts}, stored {stored}, \
+             extracts {sampled_extracts}, matched {matched})"
+        );
     }
     let (bare, inst, tel) = (median(&mut bare), median(&mut inst), median(&mut tel));
     let inst_pct = (inst - bare) / bare * 100.0;
     let tel_pct = (tel - bare) / bare * 100.0;
-
-    // The telemetry arm must actually have sampled and matched: at
-    // shift 6 over ~1M+ inserts the expected sample count is in the
-    // tens of thousands, so zero means the hooks are disconnected, not
-    // that the notes are fast.
-    let (sampled_inserts, stored, _, sampled_extracts, matched, ..) =
-        q_tel.rank_estimator().unwrap().counters();
-    assert!(
-        sampled_inserts > 0 && stored > 0 && sampled_extracts > 0 && matched > 0,
-        "telemetry arm never sampled (inserts {sampled_inserts}, stored {stored}, \
-         extracts {sampled_extracts}, matched {matched})"
-    );
 
     bench::csv_header(&["variant", "ns_per_pair", "overhead_pct"]);
     println!("bare,{bare:.1},0.0");

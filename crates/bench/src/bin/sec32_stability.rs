@@ -33,9 +33,10 @@ fn main() {
     let batch: usize = args.get_num("batch", target_len);
     let probe_factor: usize = args.get_num("probe-factor", 1);
 
+    // Listing 2's root-only refill, as in the paper.
     let mut q: Zmsq<u64> = Zmsq::with_config(ZmsqConfig {
         probe_factor,
-        ..ZmsqConfig::default().batch(batch).target_len(target_len)
+        ..bench::queues::listing2(ZmsqConfig::default().batch(batch).target_len(target_len))
     });
     let mut keys = KeyStream::new(
         KeyDist::Normal {

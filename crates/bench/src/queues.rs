@@ -2,10 +2,21 @@
 
 use baselines::{CoarseHeap, FifoQueue, KLsm, Mound, MultiQueue, SprayList, StrictSkiplistPq};
 use pq_traits::ConcurrentPriorityQueue;
-use zmsq::{ArraySet, DequeSet, Reclamation, TatasLock, Zmsq, ZmsqConfig, ZmsqList};
+use zmsq::{ArraySet, DequeSet, QualityOpts, Reclamation, TatasLock, Zmsq, ZmsqConfig, ZmsqList};
 
 /// A boxed queue usable by every generic driver.
 pub type BoxedQueue<V> = Box<dyn ConcurrentPriorityQueue<V> + Sync + Send>;
+
+/// `cfg` with the pool refilled from the root set alone, as in the
+/// paper's Listing 2. The paper-figure arms pin it, so their CSVs do not
+/// follow `Zmsq`'s default merge refill.
+pub fn listing2(cfg: ZmsqConfig) -> ZmsqConfig {
+    let quality = QualityOpts {
+        merge_refill: false,
+        ..cfg.quality
+    };
+    cfg.quality(quality)
+}
 
 /// Construct a ZMSQ with explicit tuning (the Fig. 3 / Fig. 8 sweeps).
 pub fn make_zmsq<V: Send + 'static>(
@@ -30,10 +41,12 @@ pub fn make_zmsq_set<V: Send + 'static>(
     set: &str,
     reclamation: Reclamation,
 ) -> BoxedQueue<V> {
-    let cfg = ZmsqConfig::default()
-        .batch(batch)
-        .target_len(target_len)
-        .reclamation(reclamation);
+    let cfg = listing2(
+        ZmsqConfig::default()
+            .batch(batch)
+            .target_len(target_len)
+            .reclamation(reclamation),
+    );
     match set {
         "array" => Box::new(Zmsq::<V, ArraySet<V>, TatasLock>::with_config(cfg)),
         "deque" => Box::new(Zmsq::<V, DequeSet<V>, TatasLock>::with_config(cfg)),
@@ -54,20 +67,21 @@ pub fn make_zmsq_set<V: Send + 'static>(
 /// `Zmsq`'s default set (the sorted ring, `zmsq-deque`). `zmsq`,
 /// `zmsq-array` and `zmsq-deque` are likewise pinned to the paper's
 /// hazard-pointer pool ("ZMSQ"), not the default buffer ring (`-wait`).
-/// The sharded kinds use the default.
+/// All five refill the pool as Listing 2 does ([`listing2`]). The
+/// sharded kinds use the defaults.
 pub fn make_queue<V: Send + 'static>(kind: &str, threads: usize) -> BoxedQueue<V> {
     let default = ZmsqConfig::default(); // batch=48, targetLen=72 (§4.2)
-    let hazard = || ZmsqConfig::default().reclamation(Reclamation::Hazard);
+    let paper = |reclamation| listing2(ZmsqConfig::default().reclamation(reclamation));
     match kind {
-        "zmsq" => Box::new(ZmsqList::<V>::with_config(hazard())),
-        "zmsq-array" => Box::new(Zmsq::<V, ArraySet<V>, TatasLock>::with_config(hazard())),
-        "zmsq-deque" => Box::new(Zmsq::<V, DequeSet<V>, TatasLock>::with_config(hazard())),
-        "zmsq-leak" => Box::new(ZmsqList::<V>::with_config(
-            default.reclamation(Reclamation::Leak),
-        )),
-        "zmsq-wait" => Box::new(ZmsqList::<V>::with_config(
-            default.reclamation(Reclamation::ConsumerWait),
-        )),
+        "zmsq" => Box::new(ZmsqList::<V>::with_config(paper(Reclamation::Hazard))),
+        "zmsq-array" => Box::new(Zmsq::<V, ArraySet<V>, TatasLock>::with_config(paper(
+            Reclamation::Hazard,
+        ))),
+        "zmsq-deque" => Box::new(Zmsq::<V, DequeSet<V>, TatasLock>::with_config(paper(
+            Reclamation::Hazard,
+        ))),
+        "zmsq-leak" => Box::new(ZmsqList::<V>::with_config(paper(Reclamation::Leak))),
+        "zmsq-wait" => Box::new(ZmsqList::<V>::with_config(paper(Reclamation::ConsumerWait))),
         "zmsq-strict" => Box::new(ZmsqList::<V>::with_config(ZmsqConfig::strict())),
         "zmsq-sharded" => Box::new(zmsq::ShardedZmsq::<V>::new(threads.max(2) / 2, default)),
         "zmsq-sharded-adaptive" => Box::new(zmsq::ShardedZmsq::<V>::new(
@@ -208,6 +222,67 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Pool hits after ascending inserts and a full drain: ascending keys
+    /// always land in the root, so the tree, and with it the count, is
+    /// fixed by the set type and the refill form.
+    fn drained_pool_hits(q: &BoxedQueue<u64>) -> u64 {
+        for k in 0..3000 {
+            q.insert(k, k);
+        }
+        while q.extract_max().is_some() {}
+        let snap = q.metrics().expect("zmsq exports metrics");
+        snap.counter("zmsq.pool_hits").expect("pool_hits exported")
+    }
+
+    fn reference<S: zmsq::NodeSet<u64> + 'static>(merge_refill: bool) -> u64 {
+        let cfg = ZmsqConfig::default();
+        let cfg = if merge_refill { cfg } else { listing2(cfg) };
+        drained_pool_hits(
+            &(Box::new(Zmsq::<u64, S, TatasLock>::with_config(cfg)) as BoxedQueue<u64>),
+        )
+    }
+
+    #[test]
+    fn paper_kinds_refill_as_listing_2() {
+        let [list, array, deque] = [
+            (
+                reference::<zmsq::ListSet<u64>>(false),
+                reference::<zmsq::ListSet<u64>>(true),
+            ),
+            (
+                reference::<ArraySet<u64>>(false),
+                reference::<ArraySet<u64>>(true),
+            ),
+            (
+                reference::<DequeSet<u64>>(false),
+                reference::<DequeSet<u64>>(true),
+            ),
+        ]
+        .map(|(root_only, merge)| {
+            assert_ne!(
+                root_only, merge,
+                "the drain must tell the refill forms apart"
+            );
+            root_only
+        });
+        let paper = [
+            ("zmsq", list),
+            ("zmsq-array", array),
+            ("zmsq-deque", deque),
+            ("zmsq-leak", list),
+            ("zmsq-wait", list),
+        ];
+        for (kind, want) in paper {
+            assert_eq!(drained_pool_hits(&make_queue(kind, 2)), want, "{kind}");
+        }
+        for (set, want) in [("list", list), ("array", array), ("deque", deque)] {
+            let q = make_zmsq_set(48, 72, set, Reclamation::Hazard);
+            assert_eq!(drained_pool_hits(&q), want, "make_zmsq_set {set}");
+        }
+        let q = make_zmsq(48, 72, false, Reclamation::Hazard);
+        assert_eq!(drained_pool_hits(&q), list, "make_zmsq");
     }
 
     #[test]

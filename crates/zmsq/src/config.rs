@@ -64,11 +64,12 @@ pub enum ShedPolicy {
     ShedLowest,
 }
 
-/// Ablation switches for the §3.2 insertion-quality mechanisms.
+/// Ablation switches for the §3.2 insertion-quality mechanisms and the
+/// pool refill's source.
 ///
-/// Both default to enabled — disabling them degrades ZMSQ toward the
-/// plain mound (shorter sets, poorer pool quality); the `ablation` bench
-/// quantifies each mechanism's contribution.
+/// All default to enabled — disabling the first two degrades ZMSQ toward
+/// the plain mound (shorter sets, poorer pool quality); the `ablation`
+/// bench quantifies each mechanism's contribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QualityOpts {
     /// Forced non-max insertion into deep under-full nodes (Listing 1
@@ -77,6 +78,13 @@ pub struct QualityOpts {
     /// The parent-min swap (§3.2 / Fig. 1): tightens the parent's range
     /// when a new max is inserted below it.
     pub parent_min_swap: bool,
+    /// Refill the pool with the merged top of the root and both children
+    /// instead of the root set's top alone (Listing 2), so every pooled
+    /// element is at or above everything left in those three sets. The
+    /// single-element extractions use it; `extract_batch` keeps the
+    /// root-only refill. Off reproduces the paper's Listing 2, which the
+    /// paper-figure arms of the bench registry pin.
+    pub merge_refill: bool,
 }
 
 impl Default for QualityOpts {
@@ -84,6 +92,7 @@ impl Default for QualityOpts {
         Self {
             forced_insert: true,
             parent_min_swap: true,
+            merge_refill: true,
         }
     }
 }
@@ -122,7 +131,8 @@ pub struct ZmsqConfig {
     /// Enable the futex blocking layer (§3.6). `insert` then signals a
     /// circular buffer of 16 futexes and `extract_max_blocking` can park.
     pub blocking: bool,
-    /// §3.2 quality-mechanism ablation switches (both on by default).
+    /// §3.2 quality-mechanism and refill ablation switches (all on by
+    /// default).
     pub quality: QualityOpts,
     /// Multiplier on the number of random leaf probes per insertion
     /// before the tree is expanded (Listing 1 tries `leaf_level` probes;

@@ -22,6 +22,54 @@
 //! the empty set rests above empty children. Hence, under the root lock,
 //! `root.count == 0` plus an exhausted pool proves the queue empty.
 //!
+//! # The merge refill
+//!
+//! Listing 2 refills the pool with the root set's top `n`. The root's
+//! non-max elements are ordered only against their own subtrees, so a
+//! pooled element can sit below many elements still in the children.
+//! With [`QualityOpts::merge_refill`](crate::QualityOpts::merge_refill)
+//! (the default), the single-element extractions pool the top `n` of the
+//! root set and both child sets instead, in merge order, with `n` capped
+//! as before at `min(root count after its max, batch)`. Every pooled
+//! element is then at or above every element left in those three sets at
+//! the refill instant:
+//!
+//! * The root stays locked from before the refill to the end of the
+//!   swap-downs, and the merge locks both children before it reads them.
+//! * No one else changes a child's set while the merge holds it and the
+//!   root. Making a key a child's new max locks the root first (§3.4
+//!   form 2); forced inserts stay below [`FORCE_MIN_LEVEL`]; splits of
+//!   the root and swap-downs through it need the root; a split of the
+//!   child needs the child.
+//! * The merge takes the child locks blocking (deadlock-free: every lock
+//!   sequence descends). A trylock failure would leave the refill with a
+//!   half-merged root. The holders it can wait on are a split of that
+//!   child, started by an insert that has since released the root, an
+//!   insert into a grandchild, and an eviction. `split_down` keeps the
+//!   sending node locked until the receiving children's sets and caches
+//!   are final, so a child lock won from a split comes with final
+//!   grandchildren.
+//! * Restoring the mound: a child that gave elements may now hold a max
+//!   below its own children's, and the root's max may be below a
+//!   child's. The refill swaps down each child that gave (unlocking one
+//!   that gave nothing) and then the root, all before it releases the
+//!   root. A child's swap-down can raise the child's max above the
+//!   root's, and only the root's swap-down, which locks both children
+//!   again, repairs that; released early, the root could sit below a
+//!   child, breaking the mound and with it the emptiness argument above.
+//!
+//! The property covers those three sets only. A grandchild can still
+//! hold elements above a pooled one;
+//! [`StatsSnapshot::pool_refill_below`] counts such pooled elements. The
+//! exact refill (take from a child only down to its children's largest
+//! max) pools one or two elements per visit and was rejected for cutting
+//! `mixed` throughput from 2.9M to 1.0–1.6M ops/s (EXPERIMENTS.md,
+//! "Merge refill").
+//! `extract_batch` keeps the root-only refill (`Take::MERGE_REFILL`):
+//! the relaxation layer fills its delete buffers through it a few
+//! elements per root visit, where the merge's extra swap-downs cost more
+//! latency than they buy rank.
+//!
 //! # Panic safety
 //!
 //! A panic while holding a `TNode` lock would classically wedge the tree:
@@ -54,7 +102,7 @@
 //!   here must release the root and lose nothing.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use pq_traits::InsertError;
@@ -135,6 +183,10 @@ where
     batch_cur: AtomicUsize,
     /// Scratch buffer for pool refills, guarded by the root lock.
     refill_scratch: UnsafeCell<Vec<(u64, V)>>,
+    /// [`StatsSnapshot::pool_refill_below`]. Written only under the root
+    /// lock, so one plain atomic serves where the striped counters would
+    /// add 2 KiB to the queue.
+    refill_below: AtomicU64,
 }
 
 // SAFETY: `refill_scratch` is only accessed while holding the root node's
@@ -163,6 +215,10 @@ enum Wait {
 /// ([`Zmsq::extract_with`]). Each form is its own monomorphization, so
 /// `extract_max` carries none of the other forms' checks.
 trait Take<V> {
+    /// Whether this form's root visits may pool the merged top of the
+    /// root and both children (when `QualityOpts::merge_refill` is on)
+    /// rather than the root set's top alone.
+    const MERGE_REFILL: bool = true;
     /// Claim from the pool into `self`: the elements claimed, or why
     /// there are none.
     fn claim(&mut self, pool: &Pool<V>) -> ClaimIf<&[(u64, V)]>;
@@ -203,6 +259,11 @@ struct TakeMany<'a, V> {
 }
 
 impl<V: Send> Take<V> for TakeMany<'_, V> {
+    /// Root-only: the relaxation layer fills its delete buffers through
+    /// `extract_batch`, a few elements per root visit, and the merge's
+    /// extra child swap-downs there cost more latency than they buy
+    /// rank (EXPERIMENTS.md, "Merge refill").
+    const MERGE_REFILL: bool = false;
     #[inline(always)]
     fn claim(&mut self, pool: &Pool<V>) -> ClaimIf<&[(u64, V)]> {
         match pool.try_claim_many(self.out, self.want - self.got) {
@@ -361,10 +422,10 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
     /// Create a fixed-capacity queue: admission control keeps occupancy
     /// at or below `n`. Bounded means capacity admission only; it
     /// reserves no memory up front. The sets keep their storage once
-    /// warm and the default pool reuses its buffers, so the steady
-    /// state's remaining allocator calls are a `Vec` per split (zbench's
-    /// `alloc.calls_per_op` counts them; `tests/queue_alloc.rs` gates
-    /// them).
+    /// warm, splits move elements set to set, and the default pool
+    /// reuses its buffers, so the steady state makes almost no allocator
+    /// calls (zbench's `alloc.calls_per_op` counts them;
+    /// `tests/queue_alloc.rs` gates them).
     /// Admission defaults to [`ShedPolicy::Block`](crate::ShedPolicy::Block);
     /// compose with [`ZmsqConfig::shed_policy`] via `with_config` for
     /// other policies.
@@ -385,6 +446,7 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
             producer_wait: cfg.capacity.is_some().then(ProducerWait::new),
             occupancy: CachePadded::new(AtomicUsize::new(0)),
             refill_scratch: UnsafeCell::new(Vec::with_capacity(cfg.batch_max)),
+            refill_below: AtomicU64::new(0),
             batch_cur: AtomicUsize::new(cfg.batch),
             stats: Stats::default(),
             rank_est: CachePadded::new(cfg.rank_estimator.map(obs::RankEstimator::new)),
@@ -407,6 +469,7 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
     pub fn stats(&self) -> StatsSnapshot {
         StatsSnapshot {
             pool_buffers: self.pool.buffers() as u64,
+            pool_refill_below: self.refill_below.load(Ordering::Relaxed),
             ..self.stats.snapshot()
         }
     }
@@ -797,11 +860,14 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         None
     }
 
-    /// Split an oversized set: keep the upper half in place, merge the
-    /// lower half into the children (locked before the parent unlocks so
-    /// no extraction can observe the pre-split child with the post-split
-    /// parent — §3.4 form 3). Recurses if a child overflows in turn. A
-    /// set within `2 * target_len` is left as it is.
+    /// Split an oversized set: keep the upper half in place, move the
+    /// lower half straight into the children (locked before the parent
+    /// unlocks so no extraction can observe the pre-split child with the
+    /// post-split parent — §3.4 form 3). The parent stays locked until
+    /// the children's caches are refreshed, so a refill that holds the
+    /// parent never reads a child mid-split. Recurses if a child
+    /// overflows in turn. A set within `2 * target_len` is left as it
+    /// is.
     ///
     /// Precondition: the node at `pos` is locked; this call unlocks it.
     fn split_down(&self, pos: Pos) {
@@ -833,32 +899,21 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         left.lock();
         right.lock();
 
-        // SAFETY: node locked.
-        let lower = unsafe {
-            let lower = node.set_mut().split_lower_half();
-            node.refresh_cache();
-            lower
-        };
-        node.unlock();
-        self.stats.splits.incr();
-        obs::trace_event!(obs::EventKind::Split, pos.0 as u32);
-
         // Distribute the demoted elements across both children. Their
         // maxes can only grow up to the parent's kept minimum, so the
         // mound invariant survives.
-        // SAFETY: both child locks held.
+        // SAFETY: the node and both children are locked, three distinct
+        // nodes.
         unsafe {
-            let (ls, rs) = (left.set_mut(), right.set_mut());
-            for (i, (k, v)) in lower.into_iter().enumerate() {
-                if i % 2 == 0 {
-                    ls.insert(k, v);
-                } else {
-                    rs.insert(k, v);
-                }
-            }
+            node.set_mut()
+                .split_lower_half_into(left.set_mut(), right.set_mut());
+            node.refresh_cache();
             left.refresh_cache();
             right.refresh_cache();
         }
+        node.unlock();
+        self.stats.splits.incr();
+        obs::trace_event!(obs::EventKind::Split, pos.0 as u32);
 
         let cap = 2 * self.cfg.target_len;
         let l_over = left.count() > cap;
@@ -1236,7 +1291,8 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
                 ClaimIf::Exhausted => {}
             }
             obs::trace_event!(obs::EventKind::PoolMiss);
-            match self.extract_root(take.min_prio()) {
+            let merge = T::MERGE_REFILL && self.cfg.quality.merge_refill;
+            match self.extract_root(take.min_prio(), merge) {
                 RootOutcome::Got(item) => self.hand_out(take.keep(item), false),
                 RootOutcome::Empty => {
                     self.stats.empty_observed.incr();
@@ -1273,8 +1329,10 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
     /// the next-best `batch` elements, and restore the mound invariant.
     /// With `Some(min)`, returns `Below` (without extracting) when the
     /// root maximum — the global maximum, by the mound invariant — is
-    /// below `min`.
-    fn extract_root(&self, min_prio: Option<u64>) -> RootOutcome<V> {
+    /// below `min`. With `merge`, the refill pools the merged top of the
+    /// root and both children (see the module docs); otherwise the root
+    /// set's top alone (Listing 2).
+    fn extract_root(&self, min_prio: Option<u64>, merge: bool) -> RootOutcome<V> {
         let root = self.tree.root();
         // Attribute the whole root critical section (acquisition, refill,
         // swap-down and their nested lock waits) to the root site.
@@ -1314,6 +1372,9 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         // SAFETY: root locked.
         let best = unsafe { root.set_mut().remove_max().expect("count > 0") };
         let remaining = root.count() - 1;
+        // Children that gave elements to a merge refill, by position;
+        // they stay locked until their swap-down below.
+        let mut gave: [Option<Pos>; 2] = [None, None];
         if self.cfg.batch_max > 0 && remaining > 0 {
             let _refill = obs::span!(obs::SpanPhase::PoolRefill);
             // The *effective* batch: cfg.batch unless an adaptive
@@ -1323,8 +1384,15 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
             // SAFETY: `refill_scratch` is guarded by the root lock.
             let scratch = unsafe { &mut *self.refill_scratch.get() };
             scratch.clear();
-            // SAFETY: root locked.
-            unsafe { root.set_mut().drain_top(n, scratch) };
+            let beneath = if merge {
+                gave = self.merge_top(n, scratch);
+                2
+            } else {
+                // SAFETY: root locked.
+                unsafe { root.set_mut().drain_top(n, scratch) };
+                1
+            };
+            self.note_refill_below(scratch, beneath);
             self.pool.refill_locked(scratch);
             self.stats.pool_refills.incr();
             obs::trace_event!(obs::EventKind::PoolRefill, n as u32);
@@ -1335,9 +1403,74 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         obs::trace_event!(obs::EventKind::RootAccess);
         {
             let _swap = obs::span!(obs::SpanPhase::SwapDown);
+            // Depleted children first, while the root is still held: a
+            // child's swap-down can raise its max, and only the root's
+            // swap-down below compares the root against that new max.
+            for pos in gave.into_iter().flatten() {
+                self.swap_down(pos); // consumes the child's lock
+            }
             self.swap_down((0, 0)); // consumes the root lock
         }
         RootOutcome::Got(best)
+    }
+
+    /// The merge refill: with the root locked, lock both children
+    /// (blocking: the root is held and every lock sequence descends) and
+    /// append the top `n` of the three sets to `out` in ascending order.
+    /// Returns the positions of the children that gave elements, still
+    /// locked with their caches refreshed; a child that gave nothing is
+    /// unlocked here. `n` must not exceed the root's count.
+    fn merge_top(&self, n: usize, out: &mut Vec<(u64, V)>) -> [Option<Pos>; 2] {
+        let (lp, rp) = Tree::<V, S, L>::children((0, 0));
+        let nodes = [self.tree.root(), self.tree.node(lp), self.tree.node(rp)];
+        {
+            let _site = zmsq_sync::site::enter(node_site());
+            nodes[1].lock();
+            nodes[2].lock();
+        }
+        det::det_point!("zmsq.merge-refill");
+        let mut gave = [false; 3];
+        {
+            // SAFETY: all three nodes are locked, and distinct.
+            let sets = nodes.map(|node| unsafe { node.set_mut() });
+            for _ in 0..n {
+                // Largest max first; ties go to the root, the set a
+                // root-only refill would have drained.
+                let mut from = 0;
+                for i in 1..3 {
+                    if sets[i].max_key() > sets[from].max_key() {
+                        from = i;
+                    }
+                }
+                out.push(sets[from].remove_max().expect("the root holds n"));
+                gave[from] = true;
+            }
+        }
+        out.reverse(); // merge order is descending; the pool wants ascending
+        [(lp, 1), (rp, 2)].map(|(pos, i)| {
+            if gave[i] {
+                // SAFETY: locked above.
+                unsafe { nodes[i].refresh_cache() };
+                Some(pos)
+            } else {
+                nodes[i].unlock();
+                None
+            }
+        })
+    }
+
+    /// Count the just-drained `pooled` elements (ascending) that sit below
+    /// the largest cached max on `level`, the level just beneath the
+    /// refill's locked nodes, into [`StatsSnapshot::pool_refill_below`].
+    fn note_refill_below(&self, pooled: &[(u64, V)], level: usize) {
+        let below = (0..1usize << level)
+            .map(|slot| self.tree.node((level, slot)).max_key())
+            .max()
+            .flatten();
+        let n = pooled.partition_point(|&(k, _)| Some(k) < below);
+        if n > 0 {
+            self.refill_below.fetch_add(n as u64, Ordering::Relaxed);
+        }
     }
 
     /// Restore `parent.max >= child.max` from `pos` downward by swapping
@@ -1756,6 +1889,86 @@ mod tests {
                 window.contains(&1999),
                 "batch={batch}: max not in first batch+1 extractions: {window:?}"
             );
+        }
+    }
+
+    /// The keys in the set at `pos`, read by draining the set and
+    /// putting the same pairs back (the caches stay valid).
+    fn keys_at<S: NodeSet<u64>>(q: &mut Zmsq<u64, S>, pos: Pos) -> Vec<u64> {
+        let mut pairs = Vec::new();
+        // SAFETY: `&mut` access to the queue; no other thread.
+        let set = unsafe { q.tree.node(pos).set_mut() };
+        set.drain_all(&mut pairs);
+        let keys = pairs.iter().map(|&(k, _)| k).collect();
+        for (k, v) in pairs {
+            set.insert(k, v);
+        }
+        keys
+    }
+
+    /// A seeded single-thread op stream over a small-set queue. After
+    /// every merge refill, the pool holds exactly the top of the root and
+    /// both children (less the extracted max): each pooled element is at
+    /// or above every element left in those three sets. Every op is
+    /// followed by `validate_invariants`.
+    fn check_merge_refill_pools_top_of_three<S: NodeSet<u64>>(seed: u64) {
+        let mut rng = fault::DetRng::seed_from_u64(seed);
+        let mut q: Zmsq<u64, S> = Zmsq::with_config(ZmsqConfig::default().batch(6).target_len(6));
+        let (lp, rp) = Tree::<u64, S, TatasLock>::children((0, 0));
+        let (mut refills, mut from_children) = (0, 0);
+        for op in 0..6_000 {
+            if rng.random_range(0u32..10) < 6 {
+                let k = rng.random_range(0u64..2_000);
+                q.insert(k, k);
+                q.validate_invariants().unwrap();
+                continue;
+            }
+            let root = keys_at(&mut q, (0, 0));
+            let mut three: Vec<u64> =
+                [root.clone(), keys_at(&mut q, lp), keys_at(&mut q, rp)].concat();
+            let before = q.stats().pool_refills;
+            let got = q.extract_max().map(|(k, _)| k);
+            q.validate_invariants().unwrap();
+            if q.stats().pool_refills == before {
+                continue;
+            }
+            // A refill: the extraction took the root max, the global max.
+            three.sort_unstable_by(|a, b| b.cmp(a));
+            assert_eq!(
+                got,
+                three.first().copied(),
+                "seed {seed:#x} op {op}: root max"
+            );
+            let mut pooled = Vec::new();
+            while q.pool.has_items_locked() {
+                pooled.push(q.extract_max().expect("pool holds items").0);
+                q.validate_invariants().unwrap();
+            }
+            let top = &three[1..=pooled.len()];
+            assert_eq!(
+                pooled, top,
+                "seed {seed:#x} op {op}: pool is not the top of three"
+            );
+            let mut root = root;
+            root.sort_unstable_by(|a, b| b.cmp(a));
+            if root.get(1..=pooled.len()) != Some(top) {
+                from_children += 1;
+            }
+            refills += 1;
+        }
+        assert!(refills > 100, "seed {seed:#x}: only {refills} refills");
+        assert!(
+            from_children > refills / 20,
+            "seed {seed:#x}: only {from_children} of {refills} refills differ from root-only"
+        );
+    }
+
+    #[test]
+    fn merge_refill_pools_top_of_root_and_children() {
+        for seed in [0x3E76E, 0x3E76F, 0x3E770] {
+            check_merge_refill_pools_top_of_three::<DequeSet<u64>>(seed);
+            check_merge_refill_pools_top_of_three::<ListSet<u64>>(seed);
+            check_merge_refill_pools_top_of_three::<ArraySet<u64>>(seed);
         }
     }
 
@@ -2767,23 +2980,36 @@ mod tests {
     fn extraction_table() {
         const N: u64 = 40;
         type Step = fn(&Q, &mut Vec<(u64, u64)>) -> usize;
-        // `(entry point, one call, empty_observed after draining)`: a
-        // short batch observes the empty queue once and the call that
-        // returns nothing once more.
-        let rows: [(&str, Step, u64); 3] = [
+        // `(entry point, one call, empty_observed after draining,
+        // pool_hits)`: a short batch observes the empty queue once and the
+        // call that returns nothing once more.
+        //
+        // Pool hits by refill form. The ascending inserts below leave
+        // 24..=39 in the root over children holding the evens and the
+        // odds of 0..24 (three splits of 8 keys). The first three root
+        // visits pool four of the root's own keys in either form, and the
+        // fourth (key 24) has nothing left to pool. Then the odds rise to
+        // the root. A root-only refill (`extract_batch`) pools 4, 4, 4,
+        // 4, 1, 1 over six more visits: 30 hits in 10 visits. A merge
+        // refill (the single-element forms) pools 22, 21, 20, 19 and then
+        // the merged top of the two interleaved sets, 4, 4, 4, 1, and
+        // needs an eleventh visit for the last key: 29 hits in 11 visits.
+        let rows: [(&str, Step, u64, u64); 3] = [
             (
                 "extract_max",
                 |q, out| q.extract_max().map(|e| out.push(e)).is_some() as usize,
                 1,
+                29,
             ),
-            ("extract_batch", |q, out| q.extract_batch(out, 3), 2),
+            ("extract_batch", |q, out| q.extract_batch(out, 3), 2, 30),
             (
                 "try_extract_if",
                 |q, out| q.try_extract_if(0).map(|e| out.push(e)).is_some() as usize,
                 1,
+                29,
             ),
         ];
-        for (name, step, empty_observed) in rows {
+        for (name, step, empty_observed, pool_hits) in rows {
             let q = Q::with_config(
                 ZmsqConfig::default()
                     .batch(4)
@@ -2807,7 +3033,7 @@ mod tests {
             keys.sort_unstable();
             assert_eq!(keys, (0..N).collect::<Vec<_>>(), "{name}: conservation");
             assert_eq!(s.extracts, N, "{name}: extracts");
-            assert_eq!(s.pool_hits, 30, "{name}: pool_hits");
+            assert_eq!(s.pool_hits, pool_hits, "{name}: pool_hits");
             assert_eq!(s.pool_hits + s.root_extracts, N, "{name}: per element");
             assert_eq!(s.empty_observed, empty_observed, "{name}: empty_observed");
             assert_eq!(q.occupancy(), 0, "{name}: occupancy");

@@ -19,8 +19,9 @@
 //! slots on its first insert, not when its node is built, so empty
 //! leaves cost no memory; it doubles when full and never shrinks. Sets
 //! hold at most `2·target_len` elements between operations (the split
-//! cap), so after warm-up every insert, removal and `drain_top` into a
-//! reserved `out` runs without calling the allocator.
+//! cap), so after warm-up every insert, removal, `drain_top` into a
+//! reserved `out` and split into two children runs without calling the
+//! allocator.
 
 use std::collections::VecDeque;
 
@@ -106,6 +107,17 @@ impl<V: Send> NodeSet<V> for DequeSet<V> {
     fn split_lower_half(&mut self) -> Vec<(u64, V)> {
         let remove = self.items.len() / 2;
         self.items.drain(..remove).collect()
+    }
+
+    fn split_lower_half_into(&mut self, left: &mut Self, right: &mut Self) {
+        let remove = self.items.len() / 2;
+        for (i, (k, v)) in self.items.drain(..remove).enumerate() {
+            if i % 2 == 0 {
+                left.insert(k, v);
+            } else {
+                right.insert(k, v);
+            }
+        }
     }
 
     fn drain_all(&mut self, out: &mut Vec<(u64, V)>) {

@@ -31,7 +31,8 @@ pub use list::ListSet;
 ///   consumed from the highest index down, so ascending slot order hands
 ///   out the best elements first);
 /// * `split_lower_half` removes and returns the `len / 2` smallest pairs
-///   (any order).
+///   (any order); `split_lower_half_into` moves the same pairs into two
+///   other sets instead.
 pub trait NodeSet<V>: Default + Send {
     /// Short tag used in queue names: `"deque"`, `"list"` or `"array"`.
     const KIND: &'static str;
@@ -81,6 +82,20 @@ pub trait NodeSet<V>: Default + Send {
 
     /// Remove and return the `len / 2` smallest pairs.
     fn split_lower_half(&mut self) -> Vec<(u64, V)>;
+
+    /// Move the `len / 2` smallest pairs into `left` and `right`,
+    /// alternating between them (the split's distribution). The default
+    /// goes through [`split_lower_half`](Self::split_lower_half)'s `Vec`;
+    /// [`DequeSet`] overrides it to drain its front with no allocation.
+    fn split_lower_half_into(&mut self, left: &mut Self, right: &mut Self) {
+        for (i, (k, v)) in self.split_lower_half().into_iter().enumerate() {
+            if i % 2 == 0 {
+                left.insert(k, v);
+            } else {
+                right.insert(k, v);
+            }
+        }
+    }
 
     /// Remove everything, appending to `out` in arbitrary order.
     fn drain_all(&mut self, out: &mut Vec<(u64, V)>);
@@ -181,6 +196,22 @@ pub(crate) mod tests {
         assert_eq!(s1.len(), 1);
     }
 
+    fn exercise_split_into<S: NodeSet<u64>>() {
+        let mut s = S::default();
+        let (mut left, mut right) = (S::default(), S::default());
+        left.insert(0, 0);
+        for k in 1..=9u64 {
+            s.insert(k, k);
+        }
+        s.split_lower_half_into(&mut left, &mut right);
+        assert_eq!((s.len(), s.min_key(), s.max_key()), (5, Some(5), Some(9)));
+        let mut got = Vec::new();
+        left.drain_all(&mut got);
+        right.drain_all(&mut got);
+        got.sort_unstable();
+        assert_eq!(got, vec![(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]);
+    }
+
     fn exercise_drain_all<S: NodeSet<u64>>() {
         let mut s = S::default();
         for k in [3u64, 1, 2] {
@@ -212,6 +243,10 @@ pub(crate) mod tests {
                 #[test]
                 fn split() {
                     exercise_split::<$ty>();
+                }
+                #[test]
+                fn split_into() {
+                    exercise_split_into::<$ty>();
                 }
                 #[test]
                 fn drain_all() {

@@ -100,6 +100,14 @@ pub struct StatsSnapshot {
     /// counter: the ConsumerWait ring's size (one per concurrent claimant
     /// plus one at most), one under Hazard and Leak, zero when strict.
     pub pool_buffers: u64,
+    /// Refill quality: pooled elements that, at their refill, sat below
+    /// the largest cached max just beneath the refill's locked nodes —
+    /// the root's children for a root-only refill, the grandchildren for
+    /// a merge refill. Each one had an element still in the tree above
+    /// it. The maxes are cached values read without those nodes' locks:
+    /// a split in flight into one of them, before it refreshes that
+    /// node's cache, makes the count undercount.
+    pub pool_refill_below: u64,
 }
 
 impl Stats {
@@ -125,6 +133,8 @@ impl Stats {
             producer_waits: self.producer_waits.sum(),
             // A gauge of the pool, not a counter: `Zmsq::stats` fills it.
             pool_buffers: 0,
+            // Kept outside the striped counters: `Zmsq::stats` fills it.
+            pool_refill_below: 0,
         }
     }
 }
@@ -155,6 +165,7 @@ impl StatsSnapshot {
             shed_evicted,
             producer_waits,
             pool_buffers,
+            pool_refill_below,
         } = *other;
         self.inserts += inserts;
         self.insert_retries += insert_retries;
@@ -175,6 +186,7 @@ impl StatsSnapshot {
         self.shed_evicted += shed_evicted;
         self.producer_waits += producer_waits;
         self.pool_buffers += pool_buffers;
+        self.pool_refill_below += pool_refill_below;
     }
 
     /// Total elements shed at capacity, whatever the mechanism.
@@ -211,6 +223,7 @@ impl StatsSnapshot {
         s.push_counter("zmsq.empty_observed", self.empty_observed);
         s.push_counter("zmsq.trylock_fails", self.trylock_fails);
         s.push_counter("zmsq.refill_races", self.refill_races);
+        s.push_counter("zmsq.pool_refill_below", self.pool_refill_below);
         s.push_counter("queue.shed.capacity_hits", self.capacity_hits);
         s.push_counter("queue.shed.rejected", self.shed_rejected);
         s.push_counter("queue.shed.evicted", self.shed_evicted);

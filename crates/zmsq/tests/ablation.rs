@@ -42,6 +42,7 @@ fn disabled_mechanisms_never_fire() {
             .quality(QualityOpts {
                 forced_insert: false,
                 parent_min_swap: false,
+                ..Default::default()
             }),
     );
     let s = q.stats();
@@ -55,14 +56,21 @@ fn ablated_queue_is_still_correct() {
         QualityOpts {
             forced_insert: false,
             parent_min_swap: true,
+            ..Default::default()
         },
         QualityOpts {
             forced_insert: true,
             parent_min_swap: false,
+            ..Default::default()
         },
         QualityOpts {
             forced_insert: false,
             parent_min_swap: false,
+            ..Default::default()
+        },
+        QualityOpts {
+            merge_refill: false,
+            ..Default::default()
         },
     ] {
         let mut q: Zmsq<u64> = Zmsq::with_config(
@@ -123,6 +131,7 @@ fn quality_mechanisms_improve_set_density() {
     let without = density(QualityOpts {
         forced_insert: false,
         parent_min_swap: false,
+        ..Default::default()
     });
     assert!(
         with > without * 1.5,
@@ -180,6 +189,7 @@ fn strict_mode_unaffected_by_ablation() {
         QualityOpts {
             forced_insert: false,
             parent_min_swap: false,
+            ..Default::default()
         },
     ] {
         let q: Zmsq<u64> = Zmsq::with_config(ZmsqConfig::strict().quality(quality));

@@ -1,9 +1,10 @@
 //! Allocation gate: a warm queue runs its hold-model op stream with (almost)
 //! no allocator calls. The sets keep their storage once warm
-//! (`set_alloc.rs`) and the default pool reuses its buffers in place, so
-//! what is left is a `Vec` per set split. Both the default `Zmsq` and the
-//! tuned `ShardedZmsq` must stay under a stated ceiling of allocator calls
-//! per operation (an operation is one insert or one extraction).
+//! (`set_alloc.rs`), a split moves its lower half straight into the
+//! children, and the default pool reuses its buffers in place. Both the
+//! default `Zmsq` and the tuned `ShardedZmsq` must stay under a stated
+//! ceiling of allocator calls per operation (an operation is one insert
+//! or one extraction).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,10 +97,11 @@ fn calls_per_op(insert: impl Fn(u64), extract: impl Fn() -> Option<u64>) -> f64 
 
 #[test]
 fn warm_default_queue_stays_under_allocation_ceiling() {
-    /// Ceiling: one allocator call per thousand operations (measured about
-    /// 0.0003, all of it splits; a pool that allocated a buffer per refill
-    /// would make about 0.05).
-    const CEILING: f64 = 0.001;
+    /// Ceiling: one allocator call per ten thousand operations, ten times
+    /// the measured 0.00001 (4 calls in the 400,000 counted operations;
+    /// before splits stopped allocating it was 0.0003). A `Vec` per split
+    /// would make about 0.0003, a pool buffer per refill about 0.05.
+    const CEILING: f64 = 0.0001;
     let q: Zmsq<u64> = Zmsq::new();
     let per_op = calls_per_op(|k| q.insert(k, k), || q.extract_max().map(|(k, _)| k));
     eprintln!("default Zmsq: {per_op:.5} allocator calls/op");
@@ -116,11 +118,12 @@ fn warm_default_queue_stays_under_allocation_ceiling() {
 
 #[test]
 fn warm_tuned_sharded_queue_stays_under_allocation_ceiling() {
-    /// Ceiling: one allocator call per hundred operations (measured about
-    /// 0.0045, all of it splits, which the small batches make more
-    /// frequent; a pool that allocated a buffer per refill would make
-    /// about 0.4).
-    const CEILING: f64 = 0.01;
+    /// Ceiling: four allocator calls per thousand operations, 2.5 times
+    /// the measured 0.0016 (0.0045 when every split allocated a `Vec`).
+    /// The rest is not splits and is not attributed further; it falls to
+    /// 0.0010 over four times as many operations. A pool that allocated a
+    /// buffer per refill would make about 0.4.
+    const CEILING: f64 = 0.004;
     let q: ShardedZmsq<u64> = ShardedZmsq::with_tuning(
         2,
         ZmsqConfig::recommended().batch(16).adaptive_batch(4, 64),

@@ -1,7 +1,8 @@
 //! The production node set runs without the allocator once warm: after
 //! one warm-up cycle, inserts, `remove_max`, `remove_min` and
 //! `drain_top` into a reserved buffer make zero allocator calls at the
-//! set lengths the queue keeps (`target_len` 72 up to the split cap 144).
+//! set lengths the queue keeps (`target_len` 72 up to the split cap 144),
+//! and so does a split's move into the two children.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -103,4 +104,37 @@ fn warm_set_operations_make_no_allocator_calls() {
         0,
         "warm set operations called the allocator"
     );
+}
+
+#[test]
+fn warm_split_into_children_makes_no_allocator_calls() {
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    let (mut parent, mut left, mut right) = (
+        DequeSet::default(),
+        DequeSet::default(),
+        DequeSet::default(),
+    );
+    // Fill the parent past the split cap, move its lower half into the
+    // children, and trim the children back to half a target.
+    let mut split = |x: &mut u64| {
+        while parent.len() <= 2 * TARGET_LEN {
+            let k = next_key(x);
+            parent.insert(k, k);
+        }
+        parent.split_lower_half_into(&mut left, &mut right);
+        assert_eq!(parent.len(), TARGET_LEN + 1);
+        for child in [&mut left, &mut right] {
+            while child.len() > TARGET_LEN / 2 {
+                assert!(child.remove_min().is_some());
+            }
+        }
+    };
+    // Two splits warm the children past the first reserve.
+    split(&mut x);
+    split(&mut x);
+    let before = calls();
+    for _ in 0..100 {
+        split(&mut x);
+    }
+    assert_eq!(calls() - before, 0, "a warm split called the allocator");
 }

@@ -171,6 +171,83 @@ fn det_strict_mode_rank_error_is_zero() {
     });
 }
 
+/// The merge refill (`QualityOpts::merge_refill`, on by default) against
+/// the child-level writers it must exclude: while one thread's
+/// `extract_max` merges the root with both children, another inserts keys
+/// that fall between the children's maxes and the root's minimum, so
+/// each lands as a child's new maximum (`regular_insert` at level 1) and
+/// every few of them overflow the child into a `split_down`. Every
+/// schedule must conserve the elements, never report an empty queue
+/// that holds elements, and leave the mound invariant intact.
+#[test]
+fn det_merge_refill_races_child_insert_and_split() {
+    // Over all schedules: splits during the race, and merge refills.
+    let splits = Arc::new(AtomicU64::new(0));
+    let refills = Arc::new(AtomicU64::new(0));
+    let (splits_in, refills_in) = (Arc::clone(&splits), Arc::clone(&refills));
+    let cfg = Config::from_env(0x3E46E).schedules(48);
+    det::explore(&cfg, move || {
+        const EXTRACTS: usize = 30;
+        // Small sets: a child splits after a handful of inserts.
+        let q: Arc<Zmsq<u64>> = Arc::new(Zmsq::with_config(
+            ZmsqConfig::default().batch(4).target_len(4),
+        ));
+        // Ascending keys always land in the root, whose splits leave the
+        // lower keys in the children: 4000..=4700 in the root, at most
+        // 3900 below. The racing keys 3901..3919 sit between the two.
+        let mut live: Vec<u64> = (0..48).map(|k| k * 100).collect();
+        for &k in &live {
+            q.insert(k, k);
+        }
+        let before = q.stats();
+        let racing: Vec<u64> = (3901..3919).collect();
+        live.extend(&racing);
+        let inserter = {
+            let q = Arc::clone(&q);
+            det::spawn(move || {
+                for k in racing {
+                    q.insert(k, k);
+                }
+            })
+        };
+        let extractor = {
+            let q = Arc::clone(&q);
+            det::spawn(move || {
+                (0..EXTRACTS)
+                    .map(|i| match q.extract_max() {
+                        Some((k, v)) => {
+                            assert_eq!(k, v);
+                            k
+                        }
+                        None => panic!("extraction {i} saw an empty queue holding elements"),
+                    })
+                    .collect::<Vec<u64>>()
+            })
+        };
+        inserter.join();
+        let mut got = extractor.join();
+        let after = q.stats();
+        splits_in.fetch_add(after.splits - before.splits, Ordering::Relaxed);
+        refills_in.fetch_add(after.pool_refills - before.pool_refills, Ordering::Relaxed);
+        let mut q = Arc::try_unwrap(q).expect("threads joined");
+        if let Err(e) = q.validate_invariants() {
+            panic!("invariants broken after the race: {e}");
+        }
+        while let Some((k, _)) = q.extract_max() {
+            got.push(k);
+        }
+        got.sort_unstable();
+        live.sort_unstable();
+        assert_eq!(got, live, "conservation");
+    });
+    let (splits, refills) = (
+        splits.load(Ordering::Relaxed),
+        refills.load(Ordering::Relaxed),
+    );
+    assert!(splits > 0, "no child split raced the merges");
+    assert!(refills > 0, "no merge refill ran");
+}
+
 /// The queue's built-in `obs::RankEstimator` at shift 0 (sample every
 /// key) against the exact [`RankOracle`], across every explored
 /// schedule and the same batch sweep as the rank-bound test.
