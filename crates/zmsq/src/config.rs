@@ -81,8 +81,8 @@ pub struct QualityOpts {
     /// Refill the pool with the merged top of the root and both children
     /// instead of the root set's top alone (Listing 2), so every pooled
     /// element is at or above everything left in those three sets. The
-    /// single-element extractions use it; `extract_batch` keeps the
-    /// root-only refill. Off reproduces the paper's Listing 2, which the
+    /// single-element extractions use it; `extract_batch` keeps
+    /// root-only takes. Off reproduces the paper's Listing 2, which the
     /// paper-figure arms of the bench registry pin.
     pub merge_refill: bool,
 }

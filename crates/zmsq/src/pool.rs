@@ -187,7 +187,9 @@ impl<V: Send> PoolBuf<V> {
     /// single claim losing the race to exhaustion).
     pub fn try_claim_many(&self, out: &mut Vec<(u64, V)>, want: usize) -> usize {
         debug_assert!(want > 0);
-        self.try_claim_with(want, |item| out.push(item))
+        // No claim gets more than a fill; capped, `want` also stays clear
+        // of `isize` overflow in the `fetch_sub`.
+        self.try_claim_with(want.min(self.slots.len()), |item| out.push(item))
     }
 
     /// The `fetch_sub` claim behind [`try_claim`](Self::try_claim) and
@@ -606,6 +608,19 @@ mod tests {
         assert_eq!(buf.try_claim_many(&mut out, 100), 3);
         let got: Vec<u64> = out.iter().map(|&(k, _)| k).collect();
         assert_eq!(got, vec![7, 6, 5, 3, 2, 1]);
+        assert!(buf.is_drained());
+    }
+
+    #[test]
+    fn claim_many_of_usize_max_takes_the_fill() {
+        // `usize::MAX as isize` is -1: uncapped, the `fetch_sub` would
+        // move `next` up past the fill.
+        let buf: PoolBuf<u64> = PoolBuf::new(8);
+        let mut items: Vec<(u64, u64)> = (1..=5).map(|k| (k, k)).collect();
+        buf.fill(&mut items);
+        let mut out = Vec::new();
+        assert_eq!(buf.try_claim_many(&mut out, usize::MAX), 5);
+        assert_eq!(buf.try_claim_many(&mut out, usize::MAX), 0);
         assert!(buf.is_drained());
     }
 

@@ -65,10 +65,27 @@
 //! max) pools one or two elements per visit and was rejected for cutting
 //! `mixed` throughput from 2.9M to 1.0–1.6M ops/s (EXPERIMENTS.md,
 //! "Merge refill").
-//! `extract_batch` keeps the root-only refill (`Take::MERGE_REFILL`):
-//! the relaxation layer fills its delete buffers through it a few
-//! elements per root visit, where the merge's extra swap-downs cost more
-//! latency than they buy rank.
+//! `extract_batch` keeps the root-only takes (`Take::MERGE_REFILL`);
+//! see the next section.
+//!
+//! # Delete-buffer fills
+//!
+//! `extract_batch`, through which the relaxation layer fills its delete
+//! buffers, claims what the pool holds and then visits the root once. A
+//! *take* is Listing 2's unit: the root max plus the root set's next
+//! `min(count, batch)`, the chunk a refill would pool. The visit hands
+//! each take to the caller in descending order and, while the caller
+//! wants more, swaps the root down without releasing it and takes again.
+//! Only the last take's unconsumed remainder goes to the pool, below
+//! everything handed out from that take; then the final swap-down
+//! releases the root. A 64-element fill at batch 5 is thus one root
+//! hold of about eleven takes instead of eleven lock, refill, swap-down
+//! and re-claim rounds. The pool stays exhausted for the whole hold
+//! (only a root holder refills it), so a root found empty after a
+//! swap-down is an empty queue, as above. Per take the relaxation is
+//! Listing 2's; merging the root with its children there was measured
+//! and rejected (EXPERIMENTS.md, "Delete-buffer fills in one root
+//! hold"). The hold delays inserts that need the root, which retry.
 //!
 //! # Panic safety
 //!
@@ -100,6 +117,10 @@
 //! * `queue.extract.locked-panic` — fires under the root lock, after
 //!   the emptiness/threshold checks and before any mutation. A panic
 //!   here must release the root and lose nothing.
+//! * `queue.extract.skip-pool-check` — skips the pool check under the
+//!   root lock, so a root visit that raced a refill pools over unclaimed
+//!   items. The det suite's mutation check arms it on a filling thread
+//!   and must catch the loss.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -195,8 +216,9 @@ where
 unsafe impl<V: Send, S: NodeSet<V>, L: RawTryLock> Sync for Zmsq<V, S, L> {}
 unsafe impl<V: Send, S: NodeSet<V>, L: RawTryLock> Send for Zmsq<V, S, L> {}
 
-enum RootOutcome<V> {
-    Got((u64, V)),
+enum RootOutcome {
+    /// The root visit's takes kept this many elements.
+    Got(usize),
     Empty,
     /// Conditional extraction only: the global max is below the threshold.
     Below,
@@ -222,8 +244,13 @@ trait Take<V> {
     /// Claim from the pool into `self`: the elements claimed, or why
     /// there are none.
     fn claim(&mut self, pool: &Pool<V>) -> ClaimIf<&[(u64, V)]>;
-    /// Keep the element a root extraction handed out.
-    fn keep(&mut self, item: (u64, V)) -> &[(u64, V)];
+    /// Keep one root take: its max `best`, then from the top of `rest`
+    /// (the take's other elements, ascending) as many as the call still
+    /// wants. Returns how many it kept; what it leaves in `rest` goes to
+    /// the pool.
+    fn keep(&mut self, best: (u64, V), rest: &mut Vec<(u64, V)>) -> usize;
+    /// The last `n` elements kept, in hand-out order.
+    fn kept(&self, n: usize) -> &[(u64, V)];
     /// Whether the call still wants elements.
     fn wants_more(&self) -> bool;
     /// The root threshold; only conditional extraction sets one.
@@ -239,12 +266,16 @@ impl<V: Send> Take<V> for TakeOne<V> {
     #[inline(always)]
     fn claim(&mut self, pool: &Pool<V>) -> ClaimIf<&[(u64, V)]> {
         match pool.try_claim() {
-            Some(item) => ClaimIf::Got(self.keep(item)),
+            Some(item) => ClaimIf::Got(std::slice::from_ref(self.0.insert(item))),
             None => ClaimIf::Exhausted,
         }
     }
-    fn keep(&mut self, item: (u64, V)) -> &[(u64, V)] {
-        std::slice::from_ref(self.0.insert(item))
+    fn keep(&mut self, best: (u64, V), _rest: &mut Vec<(u64, V)>) -> usize {
+        self.0 = Some(best);
+        1
+    }
+    fn kept(&self, _n: usize) -> &[(u64, V)] {
+        self.0.as_slice()
     }
     fn wants_more(&self) -> bool {
         self.0.is_none()
@@ -260,9 +291,8 @@ struct TakeMany<'a, V> {
 
 impl<V: Send> Take<V> for TakeMany<'_, V> {
     /// Root-only: the relaxation layer fills its delete buffers through
-    /// `extract_batch`, a few elements per root visit, and the merge's
-    /// extra child swap-downs there cost more latency than they buy
-    /// rank (EXPERIMENTS.md, "Merge refill").
+    /// `extract_batch`, and the merge's extra child swap-downs there cost
+    /// more latency than they buy rank (EXPERIMENTS.md, "Merge refill").
     const MERGE_REFILL: bool = false;
     #[inline(always)]
     fn claim(&mut self, pool: &Pool<V>) -> ClaimIf<&[(u64, V)]> {
@@ -270,14 +300,19 @@ impl<V: Send> Take<V> for TakeMany<'_, V> {
             0 => ClaimIf::Exhausted,
             n => {
                 self.got += n;
-                ClaimIf::Got(&self.out[self.out.len() - n..])
+                ClaimIf::Got(self.kept(n))
             }
         }
     }
-    fn keep(&mut self, item: (u64, V)) -> &[(u64, V)] {
-        self.got += 1;
-        self.out.push(item);
-        &self.out[self.out.len() - 1..]
+    fn keep(&mut self, best: (u64, V), rest: &mut Vec<(u64, V)>) -> usize {
+        let more = rest.len().min(self.want - self.got - 1);
+        self.out.push(best);
+        self.out.extend(rest.drain(rest.len() - more..).rev());
+        self.got += 1 + more;
+        1 + more
+    }
+    fn kept(&self, n: usize) -> &[(u64, V)] {
+        &self.out[self.out.len() - n..]
     }
     fn wants_more(&self) -> bool {
         self.got < self.want
@@ -297,7 +332,9 @@ impl<V: Send> Take<V> for TakeIf<V> {
     #[inline(always)]
     fn claim(&mut self, pool: &Pool<V>) -> ClaimIf<&[(u64, V)]> {
         match pool.try_claim_if(self.min) {
-            ClaimIf::Got(item) if item.0 >= self.min => ClaimIf::Got(self.keep(item)),
+            ClaimIf::Got(item) if item.0 >= self.min => {
+                ClaimIf::Got(std::slice::from_ref(self.got.insert(item)))
+            }
             // An exhaust+refill ABA between peek and claim can hand us a
             // below-threshold element.
             ClaimIf::Got(item) => {
@@ -308,8 +345,12 @@ impl<V: Send> Take<V> for TakeIf<V> {
             ClaimIf::Exhausted => ClaimIf::Exhausted,
         }
     }
-    fn keep(&mut self, item: (u64, V)) -> &[(u64, V)] {
-        std::slice::from_ref(self.got.insert(item))
+    fn keep(&mut self, best: (u64, V), _rest: &mut Vec<(u64, V)>) -> usize {
+        self.got = Some(best);
+        1
+    }
+    fn kept(&self, _n: usize) -> &[(u64, V)] {
+        self.got.as_slice()
     }
     fn wants_more(&self) -> bool {
         self.got.is_none()
@@ -631,6 +672,9 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
                     est.note_insert(k);
                 }
             }
+            // Restarts back off as the extraction loop's do: a chunk
+            // headed for the root can meet a fill holding it.
+            let mut backoff = Backoff::new();
             loop {
                 // `allow_force = false`: a forced position only admits
                 // *non-max* elements one at a time, which the chunked
@@ -642,6 +686,7 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
                     break;
                 }
                 self.stats.insert_retries.incr();
+                backoff.wait();
             }
             self.stats.inserts.add(take as u64);
             if let Some(ev) = &self.events {
@@ -1210,11 +1255,14 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
     /// assert_eq!(q.extract_batch(&mut out, 1), 0);
     /// ```
     ///
-    /// The fast path reserves up to `n` pool slots with a **single**
-    /// `fetch_sub` — one contended RMW instead of `n` — so consumers that
-    /// drain in bursts touch the shared pool index once per burst.
-    /// Elements arrive in hand-out order (approximately descending, same
-    /// relaxation as element-wise extraction).
+    /// The call first claims up to `n` pool slots with a **single**
+    /// `fetch_sub`, one contended RMW instead of `n`. What the pool
+    /// lacks comes from one root hold: consecutive Listing-2 takes (the
+    /// root max plus the root's next `batch`) go straight to `out`, and
+    /// only the last take's unconsumed remainder refills the pool (module
+    /// docs, "Delete-buffer fills"). Elements arrive in hand-out order:
+    /// descending within the pool's part and within each take, with the
+    /// same per-take relaxation as element-wise extraction.
     pub fn extract_batch(&self, out: &mut Vec<(u64, V)>, n: usize) -> usize {
         let mut take = TakeMany {
             out,
@@ -1269,9 +1317,10 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
     }
 
     /// The one claim-then-root loop (Listing 2) behind every extraction
-    /// form: claim from the pool, and when it is exhausted take the root
-    /// (which refills the pool), until `take` has what it wants, the
-    /// queue is observed empty, or the threshold stops it.
+    /// form: claim from the pool, and when it is exhausted visit the root
+    /// (whose takes go to `take`, the remainder to the pool), until `take`
+    /// has what it wants, the queue is observed empty, or the threshold
+    /// stops it.
     #[inline(always)]
     fn extract_with<T: Take<V>>(&self, take: &mut T) {
         det::det_point!("zmsq.extract");
@@ -1291,9 +1340,8 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
                 ClaimIf::Exhausted => {}
             }
             obs::trace_event!(obs::EventKind::PoolMiss);
-            let merge = T::MERGE_REFILL && self.cfg.quality.merge_refill;
-            match self.extract_root(take.min_prio(), merge) {
-                RootOutcome::Got(item) => self.hand_out(take.keep(item), false),
+            match self.extract_root(take) {
+                RootOutcome::Got(n) => self.hand_out(take.kept(n), false),
                 RootOutcome::Empty => {
                     self.stats.empty_observed.incr();
                     return;
@@ -1305,7 +1353,7 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
     }
 
     /// Hand-out bookkeeping for the elements one pool claim or root
-    /// extraction handed out: counters, trace event, rank and sojourn
+    /// visit handed out: counters, trace event, rank and sojourn
     /// telemetry (one table), and the capacity release.
     #[inline(always)]
     fn hand_out(&self, items: &[(u64, V)], from_pool: bool) {
@@ -1325,17 +1373,21 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         self.release_capacity(n);
     }
 
-    /// Slow path: take the maximum from the root, refill the pool with
-    /// the next-best `batch` elements, and restore the mound invariant.
-    /// With `Some(min)`, returns `Below` (without extracting) when the
-    /// root maximum — the global maximum, by the mound invariant — is
-    /// below `min`. With `merge`, the refill pools the merged top of the
-    /// root and both children (see the module docs); otherwise the root
-    /// set's top alone (Listing 2).
-    fn extract_root(&self, min_prio: Option<u64>, merge: bool) -> RootOutcome<V> {
+    /// Slow path: Listing 2's root visit. A *take* removes the root max
+    /// plus the root set's next `min(remaining, batch)` elements (with
+    /// `merge`, the merged top of the root and both children instead; see
+    /// the module docs) and offers them to `take` in descending order.
+    /// While `take` consumes a whole take and wants more, the root is
+    /// swapped down still held and the next take follows, so a delete
+    /// buffer fills in one root hold. The last take's unconsumed
+    /// remainder refills the pool; then the final swap-down releases the
+    /// root. With a threshold, returns `Below` (without extracting) when
+    /// the root maximum, the global maximum by the mound invariant, is
+    /// below it.
+    fn extract_root<T: Take<V>>(&self, take: &mut T) -> RootOutcome {
         let root = self.tree.root();
-        // Attribute the whole root critical section (acquisition, refill,
-        // swap-down and their nested lock waits) to the root site.
+        // Attribute the whole root critical section (acquisition, takes,
+        // refill, swap-downs and their nested lock waits) to the root site.
         let _site = zmsq_sync::site::enter(root_site());
         if !self.acquire(root, root_site()) {
             // Likely a concurrent refiller; back off and retry the pool.
@@ -1343,8 +1395,13 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         }
         let unwind = UnwindUnlock::one(root);
         // Someone may have refilled while we waited for the lock — we
-        // raced another extractor to the same refill.
-        if self.pool.has_items_locked() {
+        // raced another extractor to the same refill. Mutation target for
+        // the det suite: skipping this check pools over unclaimed items.
+        let skip_pool_check = || {
+            fault::fail_point!("queue.extract.skip-pool-check", return true);
+            false
+        };
+        if !skip_pool_check() && self.pool.has_items_locked() {
             self.stats.refill_races.incr();
             root.unlock();
             return RootOutcome::Retry;
@@ -1354,7 +1411,10 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
             root.unlock();
             return RootOutcome::Empty;
         }
-        if min_prio.is_some_and(|min| root.max_key() < Some(min)) {
+        if take
+            .min_prio()
+            .is_some_and(|min| root.max_key() < Some(min))
+        {
             // Mound invariant: root.max is the global max, so nothing
             // qualifies.
             root.unlock();
@@ -1365,53 +1425,78 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         fault::fail_point!("queue.extract.locked-panic");
         det::det_point!("zmsq.extract-root");
         drop(unwind);
-        // From here to swap_down's return the window spans the root, the
-        // pool and (transitively) children — unrecoverable mid-way.
+        // From here to the final swap-down's return the window spans the
+        // root, the pool and (transitively) children — unrecoverable
+        // mid-way.
         let _critical = AbortOnUnwind("root extraction");
 
-        // SAFETY: root locked.
-        let best = unsafe { root.set_mut().remove_max().expect("count > 0") };
-        let remaining = root.count() - 1;
-        // Children that gave elements to a merge refill, by position;
-        // they stay locked until their swap-down below.
-        let mut gave: [Option<Pos>; 2] = [None, None];
-        if self.cfg.batch_max > 0 && remaining > 0 {
-            let _refill = obs::span!(obs::SpanPhase::PoolRefill);
-            // The *effective* batch: cfg.batch unless an adaptive
-            // controller has moved it. Always within batch_min..=batch_max,
-            // hence within the pool's allocated capacity.
-            let n = remaining.min(self.batch_cur.load(Ordering::Relaxed).max(1));
-            // SAFETY: `refill_scratch` is guarded by the root lock.
-            let scratch = unsafe { &mut *self.refill_scratch.get() };
+        let merge = T::MERGE_REFILL && self.cfg.quality.merge_refill;
+        // SAFETY: `refill_scratch` is guarded by the root lock.
+        let scratch = unsafe { &mut *self.refill_scratch.get() };
+        let mut kept = 0;
+        loop {
+            // SAFETY: root locked.
+            let best = unsafe { root.set_mut().remove_max().expect("count > 0") };
+            let remaining = root.count() - 1;
             scratch.clear();
-            let beneath = if merge {
-                gave = self.merge_top(n, scratch);
-                2
-            } else {
+            // Children that gave elements to a merge take, by position;
+            // they stay locked until their swap-down.
+            let mut gave: [Option<Pos>; 2] = [None, None];
+            let more = {
+                let _refill = obs::span!(obs::SpanPhase::PoolRefill);
+                let mut beneath = 1;
+                if self.cfg.batch_max > 0 && remaining > 0 {
+                    // The *effective* batch: cfg.batch unless an adaptive
+                    // controller has moved it. Always within
+                    // batch_min..=batch_max, hence within the pool's
+                    // allocated capacity.
+                    let n = remaining.min(self.batch_cur.load(Ordering::Relaxed).max(1));
+                    if merge {
+                        gave = self.merge_top(n, scratch);
+                        beneath = 2;
+                    } else {
+                        // SAFETY: root locked.
+                        unsafe { root.set_mut().drain_top(n, scratch) };
+                    }
+                }
+                kept += take.keep(best, scratch);
                 // SAFETY: root locked.
-                unsafe { root.set_mut().drain_top(n, scratch) };
-                1
+                unsafe { root.refresh_cache() };
+                if scratch.is_empty() {
+                    take.wants_more()
+                } else {
+                    self.note_refill_below(scratch, beneath);
+                    obs::trace_event!(obs::EventKind::PoolRefill, scratch.len() as u32);
+                    self.pool.refill_locked(scratch);
+                    self.stats.pool_refills.incr();
+                    false
+                }
             };
-            self.note_refill_below(scratch, beneath);
-            self.pool.refill_locked(scratch);
-            self.stats.pool_refills.incr();
-            obs::trace_event!(obs::EventKind::PoolRefill, n as u32);
-        }
-        // SAFETY: root locked.
-        unsafe { root.refresh_cache() };
-        self.stats.root_extracts.incr();
-        obs::trace_event!(obs::EventKind::RootAccess);
-        {
-            let _swap = obs::span!(obs::SpanPhase::SwapDown);
-            // Depleted children first, while the root is still held: a
-            // child's swap-down can raise its max, and only the root's
-            // swap-down below compares the root against that new max.
-            for pos in gave.into_iter().flatten() {
-                self.swap_down(pos); // consumes the child's lock
+            {
+                let _swap = obs::span!(obs::SpanPhase::SwapDown);
+                // Depleted children first, while the root is still held: a
+                // child's swap-down can raise its max, and only the root's
+                // swap-down below compares the root against that new max.
+                for pos in gave.into_iter().flatten() {
+                    self.swap_down(pos, false); // consumes the child's lock
+                }
+                // Keeps the root while the caller wants another take.
+                self.swap_down((0, 0), more);
             }
-            self.swap_down((0, 0)); // consumes the root lock
+            if !more {
+                break;
+            }
+            det::det_point!("zmsq.fill-take");
+            if root.count() == 0 {
+                // Both children were empty, hence the whole tree: the
+                // caller's next visit reports the queue empty.
+                root.unlock();
+                break;
+            }
         }
-        RootOutcome::Got(best)
+        self.stats.root_extracts.add(kept as u64);
+        obs::trace_event!(obs::EventKind::RootAccess);
+        RootOutcome::Got(kept)
     }
 
     /// The merge refill: with the root locked, lock both children
@@ -1473,19 +1558,24 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         }
     }
 
-    /// Restore `parent.max >= child.max` from `pos` downward by swapping
+    /// Restore `parent.max >= child.max` from `top` downward by swapping
     /// sets with the larger child until the invariant holds (the mound's
-    /// moundify, §2.2/§3.4). Precondition: node at `pos` locked; unlocks
-    /// everything before returning.
-    fn swap_down(&self, pos: Pos) {
+    /// moundify, §2.2/§3.4). Precondition: node at `top` locked; unlocks
+    /// every node below before returning, and `top` too unless `hold`.
+    fn swap_down(&self, top: Pos, hold: bool) {
         // A panic mid-swap can strand a nonempty child under an emptied
         // parent (breaking the emptiness chain) — abort.
         let _critical = AbortOnUnwind("swap_down");
-        let mut pos = pos;
+        let release = |pos: Pos| {
+            if !(hold && pos == top) {
+                self.tree.node(pos).unlock();
+            }
+        };
+        let mut pos = top;
         loop {
             let node = self.tree.node(pos);
             if pos.0 >= self.tree.leaf_level() {
-                node.unlock();
+                release(pos);
                 return;
             }
             let (lp, rp) = Tree::<V, S, L>::children(pos);
@@ -1503,14 +1593,14 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
             if big.max_key() <= node.max_key() {
                 small.unlock();
                 big.unlock();
-                node.unlock();
+                release(pos);
                 return;
             }
             // SAFETY: both locks held, distinct nodes.
             unsafe { node.swap_contents(big) };
             self.stats.swap_downs.incr();
             small.unlock();
-            node.unlock();
+            release(pos);
             pos = big_pos; // `big` stays locked for the next round
         }
     }
@@ -1972,6 +2062,170 @@ mod tests {
         }
     }
 
+    /// Every node's keys, ascending, by heap index (`(level, slot)` at
+    /// `2^level - 1 + slot`), down to the leaf level.
+    fn all_keys<S: NodeSet<u64>>(q: &mut Zmsq<u64, S>) -> Vec<Vec<u64>> {
+        let mut sets = Vec::new();
+        for level in 0..=q.tree.leaf_level() {
+            for slot in 0..1usize << level {
+                let mut keys = keys_at(q, (level, slot));
+                keys.sort_unstable();
+                sets.push(keys);
+            }
+        }
+        sets
+    }
+
+    /// Model of one root visit of `extract_batch` over `sets` (from
+    /// [`all_keys`]) with the pool exhausted: the takes it hands out, each
+    /// the root max plus the root's next `min(count, batch)`, and the
+    /// descending remainder of the last take, which goes to the pool.
+    /// Between takes the root sinks as `swap_down` sinks it.
+    fn model_fill(
+        sets: &mut [Vec<u64>],
+        batch: usize,
+        mut want: usize,
+    ) -> (Vec<Vec<u64>>, Vec<u64>) {
+        let swap_down = |sets: &mut [Vec<u64>]| {
+            let mut i = 0;
+            while 2 * i + 2 < sets.len() {
+                let (l, r) = (2 * i + 1, 2 * i + 2);
+                let big = if sets[l].last() >= sets[r].last() {
+                    l
+                } else {
+                    r
+                };
+                if sets[big].last() <= sets[i].last() {
+                    break;
+                }
+                sets.swap(i, big);
+                i = big;
+            }
+        };
+        let mut takes = Vec::new();
+        while want > 0 {
+            let Some(best) = sets[0].pop() else { break };
+            let n = sets[0].len().min(batch);
+            let mut take = vec![best];
+            take.extend((0..n).map(|_| sets[0].pop().expect("n <= count")));
+            let rest = take.split_off(take.len().min(want));
+            want -= take.len();
+            takes.push(take);
+            swap_down(sets);
+            if !rest.is_empty() {
+                return (takes, rest);
+            }
+        }
+        (takes, Vec::new())
+    }
+
+    /// A seeded single-thread stream of inserts and `extract_batch`
+    /// calls. Each call hands out the pool's remainder first, then its
+    /// root visit's takes, as [`model_fill`] predicts from the sets just
+    /// before the call. On the queue's own output: every take is
+    /// descending, and the remainder the next call claims from the pool
+    /// sits below everything handed out from the take it came from.
+    /// Every call is followed by `validate_invariants`.
+    fn check_fill_keeps_takes<S: NodeSet<u64>>(seed: u64) {
+        const BATCH: usize = 5;
+        let mut rng = fault::DetRng::seed_from_u64(seed);
+        let mut q: Zmsq<u64, S> =
+            Zmsq::with_config(ZmsqConfig::default().batch(BATCH).target_len(6));
+        // The pool's contents, descending (claim order), and the take
+        // they were left from.
+        let (mut pool, mut pooled_from): (Vec<u64>, Vec<u64>) = (Vec::new(), Vec::new());
+        let (mut multi_take, mut remainders) = (0, 0);
+        let mut live = 0usize;
+        for op in 0..1_500 {
+            if rng.random_range(0u32..10) < 7 {
+                for _ in 0..rng.random_range(1u32..=8) {
+                    let k = rng.random_range(0u64..2_000);
+                    q.insert(k, k);
+                    live += 1;
+                }
+                q.validate_invariants().unwrap();
+                continue;
+            }
+            let want = rng.random_range(1usize..=12);
+            let from_pool: Vec<u64> = pool.drain(..want.min(pool.len())).collect();
+            let mut sets = all_keys(&mut q);
+            let (takes, rest) = if from_pool.len() < want {
+                model_fill(&mut sets, BATCH, want - from_pool.len())
+            } else {
+                (Vec::new(), Vec::new())
+            };
+            let before = q.stats();
+            let mut out = Vec::new();
+            let got = q.extract_batch(&mut out, want);
+            q.validate_invariants().unwrap();
+            let keys: Vec<u64> = out.iter().map(|&(k, _)| k).collect();
+            let ctx = format!("seed {seed:#x} op {op} want {want}");
+            assert_eq!(got, want.min(live), "{ctx}: short fill on a nonempty queue");
+            live -= got;
+            // The pool's part: last call's remainder, below its take.
+            let (claimed, mut rooted) = keys.split_at(from_pool.len());
+            assert_eq!(claimed, from_pool, "{ctx}: pool part");
+            if let (Some(&top), Some(&low)) = (claimed.first(), pooled_from.last()) {
+                assert!(top <= low, "{ctx}: pooled {top} above its take's {low}");
+            }
+            let after = q.stats();
+            assert_eq!(
+                after.pool_hits - before.pool_hits,
+                claimed.len() as u64,
+                "{ctx}"
+            );
+            assert_eq!(
+                after.root_extracts - before.root_extracts,
+                rooted.len() as u64,
+                "{ctx}: every element a take hands out is a root extraction"
+            );
+            // The root's part, take by take.
+            for take in &takes {
+                let (mine, later) = rooted.split_at(take.len());
+                assert_eq!(mine, take, "{ctx}: take");
+                assert!(
+                    mine.is_sorted_by(|a, b| a >= b),
+                    "{ctx}: take not descending"
+                );
+                rooted = later;
+            }
+            assert!(
+                rooted.is_empty(),
+                "{ctx}: {} elements past the takes",
+                rooted.len()
+            );
+            if from_pool.len() < want {
+                pooled_from = takes.last().cloned().unwrap_or_default();
+                remainders += !rest.is_empty() as usize;
+                pool = rest;
+            }
+            multi_take += (takes.len() > 1) as usize;
+        }
+        assert!(
+            multi_take > 100,
+            "seed {seed:#x}: only {multi_take} multi-take fills"
+        );
+        assert!(
+            remainders > 100,
+            "seed {seed:#x}: only {remainders} pooled remainders"
+        );
+        let mut out = Vec::new();
+        assert_eq!(
+            q.extract_batch(&mut out, usize::MAX),
+            live,
+            "seed {seed:#x}: drain"
+        );
+    }
+
+    #[test]
+    fn extract_batch_keeps_takes_and_pools_remainder() {
+        for seed in [0xF111, 0xF112, 0xF113] {
+            check_fill_keeps_takes::<DequeSet<u64>>(seed);
+            check_fill_keeps_takes::<ListSet<u64>>(seed);
+            check_fill_keeps_takes::<ArraySet<u64>>(seed);
+        }
+    }
+
     #[test]
     fn invariants_after_mixed_single_threaded() {
         let mut q = Q::with_config(ZmsqConfig::default().batch(16).target_len(16));
@@ -2334,9 +2588,15 @@ mod tests {
         for i in 0..500u64 {
             q.insert(i, i);
         }
-        let mut out = Vec::new();
-        assert_eq!(q.extract_batch(&mut out, 500), 500);
-        assert!(q.stats().pool_hits > 0);
+        // Single-element extractions: a batched one keeps its root takes
+        // and pools only a remainder, which would not fill a buffer.
+        for _ in 0..500 {
+            assert!(q.extract_max().is_some());
+        }
+        assert_eq!(q.extract_max(), None);
+        let s = q.stats();
+        assert!(s.pool_hits > 0);
+        assert!(s.pool_refills > 0);
     }
 
     #[test]
@@ -2984,16 +3244,21 @@ mod tests {
         // pool_hits)`: a short batch observes the empty queue once and the
         // call that returns nothing once more.
         //
-        // Pool hits by refill form. The ascending inserts below leave
+        // Pool hits by extraction form. The ascending inserts below leave
         // 24..=39 in the root over children holding the evens and the
-        // odds of 0..24 (three splits of 8 keys). The first three root
-        // visits pool four of the root's own keys in either form, and the
-        // fourth (key 24) has nothing left to pool. Then the odds rise to
-        // the root. A root-only refill (`extract_batch`) pools 4, 4, 4,
-        // 4, 1, 1 over six more visits: 30 hits in 10 visits. A merge
-        // refill (the single-element forms) pools 22, 21, 20, 19 and then
-        // the merged top of the two interleaved sets, 4, 4, 4, 1, and
-        // needs an eleventh visit for the last key: 29 hits in 11 visits.
+        // odds of 0..24 (three splits of 8 keys). A merge refill (the
+        // single-element forms) pools four of the root's own keys on each
+        // of the first three root visits; the fourth (key 24) has nothing
+        // left to pool. Then the odds rise to the root, and the refills
+        // pool 22, 21, 20, 19 and then the merged top of the two
+        // interleaved sets, 4, 4, 4, 1; an eleventh visit takes the last
+        // key: 29 hits in 11 visits. `extract_batch` keeps its root takes
+        // (the max plus up to four more) and pools only what its call of
+        // 3 leaves: 2, 4, 3 from the root's own keys; the visit that takes
+        // 24 keeps the root for a second take, 23 and 21, and pools 3;
+        // then 2, 4, 3 over the evens and odds, and a last visit takes 3
+        // and 1, keeps the root for 2 and pools key 0: 22 hits in 8
+        // visits.
         let rows: [(&str, Step, u64, u64); 3] = [
             (
                 "extract_max",
@@ -3001,7 +3266,7 @@ mod tests {
                 1,
                 29,
             ),
-            ("extract_batch", |q, out| q.extract_batch(out, 3), 2, 30),
+            ("extract_batch", |q, out| q.extract_batch(out, 3), 2, 22),
             (
                 "try_extract_if",
                 |q, out| q.try_extract_if(0).map(|e| out.push(e)).is_some() as usize,

@@ -65,10 +65,15 @@ pub struct StatsSnapshot {
     pub extracts: u64,
     /// Extractions served from the shared pool (the relaxed fast path).
     pub pool_hits: u64,
-    /// Pool refills (each implies one root critical section).
+    /// Pool refills: root visits that pooled elements. A single-element
+    /// extraction's visit pools its take's remainder; a batched one
+    /// (`extract_batch`, the delete-buffer fills) keeps whole takes and
+    /// pools only its last take's unconsumed remainder, if any.
     pub pool_refills: u64,
-    /// Extractions that entered the root critical section (every strict
-    /// extraction; one per refill in relaxed mode).
+    /// Extractions handed out from the root under its lock rather than
+    /// claimed from the pool: one per single-element root visit (every
+    /// strict extraction), and every element a batched visit's takes
+    /// hand out. `pool_hits + root_extracts == extracts`.
     pub root_extracts: u64,
     /// Set exchanges performed while restoring the mound invariant.
     pub swap_downs: u64,
@@ -195,8 +200,9 @@ impl StatsSnapshot {
     }
 
     /// Fraction of successful extractions that had to touch the root
-    /// (§4.2 reports ~3% with `batch = 32`). `root_extracts` counts every
-    /// root critical section, strict or refilling.
+    /// (§4.2 reports ~3% with `batch = 32`). Counts elements, not root
+    /// visits: a batched extraction's takes all count (see
+    /// `root_extracts`).
     pub fn root_access_ratio(&self) -> f64 {
         if self.extracts == 0 {
             return 0.0;

@@ -120,9 +120,13 @@ fn warm_default_queue_stays_under_allocation_ceiling() {
 fn warm_tuned_sharded_queue_stays_under_allocation_ceiling() {
     /// Ceiling: four allocator calls per thousand operations, 2.5 times
     /// the measured 0.0016 (0.0045 when every split allocated a `Vec`).
-    /// The rest is not splits and is not attributed further; it falls to
-    /// 0.0010 over four times as many operations. A pool that allocated a
-    /// buffer per refill would make about 0.4.
+    /// All of it is first use of a node: a split into a child whose set
+    /// never held anything reserves the ring's first 64 slots and then
+    /// doubles it twice, three calls per node (606 calls for about 200
+    /// such nodes in the counted window, none freed). The tree is still
+    /// reaching nodes it never used, so the rate falls to 0.0010 over
+    /// four times as many operations. A pool that allocated a buffer per
+    /// refill would make about 0.4.
     const CEILING: f64 = 0.004;
     let q: ShardedZmsq<u64> = ShardedZmsq::with_tuning(
         2,

@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 use det::Config;
 use workloads::oracle::{QcChecker, RankOracle};
 use zmsq::{
-    ArraySet, InsertError, ListSet, NodeSet, ShardedConfig, ShardedZmsq, ShedPolicy, TatasLock,
-    Zmsq, ZmsqConfig,
+    ArraySet, InsertError, ListSet, NodeSet, ShardedConfig, ShardedZmsq, ShedPolicy, StatsSnapshot,
+    TatasLock, Zmsq, ZmsqConfig,
 };
 
 /// Unique element token: producer id in the high bits, sequence in the low.
@@ -246,6 +246,106 @@ fn det_merge_refill_races_child_insert_and_split() {
     );
     assert!(splits > 0, "no child split raced the merges");
     assert!(refills > 0, "no merge refill ran");
+}
+
+/// One schedule of the fill race: a delete-buffer fill
+/// (`extract_batch`, which keeps the root across its takes) against an
+/// `extract_max` whose root visits refill the pool and an insert whose
+/// keys, each a new maximum, land at the root. `before_fill` runs first
+/// on the fill's thread. Checks that no fill comes back short on a queue
+/// that still holds elements (so never 0), the invariants after the
+/// race, and conservation; returns the queue's final stats.
+fn fill_race(before_fill: fn()) -> StatsSnapshot {
+    const FILLS: usize = 2;
+    const WANT: usize = 12;
+    const EXTRACTS: usize = 6;
+    let q: Arc<Zmsq<u64>> = Arc::new(Zmsq::with_config(
+        ZmsqConfig::default().batch(4).target_len(4),
+    ));
+    let mut live: Vec<u64> = (0..40).map(|k| k * 10).collect();
+    for &k in &live {
+        q.insert(k, k);
+    }
+    let racing: Vec<u64> = (1000..1006).collect();
+    live.extend(&racing);
+    let inserter = {
+        let q = Arc::clone(&q);
+        det::spawn(move || {
+            for k in racing {
+                q.insert(k, k);
+            }
+        })
+    };
+    let extractor = {
+        let q = Arc::clone(&q);
+        det::spawn(move || {
+            (0..EXTRACTS)
+                .map(|i| match q.extract_max() {
+                    Some((k, v)) => {
+                        assert_eq!(k, v);
+                        k
+                    }
+                    None => panic!("extraction {i} saw an empty queue holding elements"),
+                })
+                .collect::<Vec<u64>>()
+        })
+    };
+    let filler = {
+        let q = Arc::clone(&q);
+        det::spawn(move || {
+            before_fill();
+            let mut out = Vec::new();
+            for i in 0..FILLS {
+                // 40 prefilled, at most EXTRACTS taken by the other
+                // thread: every fill finds more than it wants.
+                let got = q.extract_batch(&mut out, WANT);
+                assert_eq!(got, WANT, "fill {i} came back short on a nonempty queue");
+            }
+            out.iter()
+                .map(|&(k, v)| {
+                    assert_eq!(k, v);
+                    k
+                })
+                .collect::<Vec<u64>>()
+        })
+    };
+    inserter.join();
+    let mut got = extractor.join();
+    got.extend(filler.join());
+    let mut q = Arc::try_unwrap(q).expect("threads joined");
+    if let Err(e) = q.validate_invariants() {
+        panic!("invariants broken after the fill race: {e}");
+    }
+    while let Some((k, _)) = q.extract_max() {
+        got.push(k);
+    }
+    got.sort_unstable();
+    live.sort_unstable();
+    assert_eq!(got, live, "conservation");
+    q.stats()
+}
+
+/// The fill race of [`fill_race`] across schedules. Over all of them,
+/// a root visit must have found the pool refilled by the other
+/// extractor, and an insert must have restarted against the
+/// extractions' held locks.
+#[test]
+fn det_fill_races_refill_and_root_insert() {
+    let races = Arc::new(AtomicU64::new(0));
+    let blocked = Arc::new(AtomicU64::new(0));
+    let (races_in, blocked_in) = (Arc::clone(&races), Arc::clone(&blocked));
+    let cfg = Config::from_env(0xF111).schedules(48);
+    det::explore(&cfg, move || {
+        let s = fill_race(|| {});
+        races_in.fetch_add(s.refill_races, Ordering::Relaxed);
+        blocked_in.fetch_add(s.insert_retries, Ordering::Relaxed);
+    });
+    let (races, blocked) = (
+        races.load(Ordering::Relaxed),
+        blocked.load(Ordering::Relaxed),
+    );
+    assert!(races > 0, "no root visit found the pool refilled");
+    assert!(blocked > 0, "no insert restarted");
 }
 
 /// The queue's built-in `obs::RankEstimator` at shift 0 (sample every
@@ -988,5 +1088,33 @@ fn det_mutation_skipped_consumer_wait_is_caught() {
         result.expect_err("the skipped drained check must be caught within 10,000 schedules");
     // The shrunk failing schedule is what CI uploads on failure; here it
     // proves the report machinery works end to end.
+    eprintln!("mutation caught:\n{failure}");
+}
+
+/// Mutation check: with a fill skipping the pool check under the root
+/// lock (the `queue.extract.skip-pool-check` failpoint armed `Always` on
+/// the fill's thread only), a fill that follows the other extractor's
+/// refill pools its last take's remainder over unclaimed items, and
+/// [`fill_race`]'s conservation check must catch the loss within a
+/// bounded number of schedules. `#[ignore]` by default — CI runs it
+/// explicitly (`--ignored`) with `--features "det-sched fault-inject"`.
+#[cfg(feature = "fault-inject")]
+#[test]
+#[ignore = "mutation check; run explicitly in CI with --ignored"]
+fn det_mutation_fill_skipping_pool_check_is_caught() {
+    let _x = fault::exclusive();
+    fault::reset();
+    let cfg = Config::from_env(0xF111BAD).schedules(2_000);
+    let result = det::explore_result(&cfg, || {
+        fill_race(|| {
+            fault::configure(
+                "queue.extract.skip-pool-check",
+                fault::Policy::new(fault::Trigger::Always).on_this_thread(),
+            );
+        });
+    });
+    fault::reset();
+    let failure =
+        result.expect_err("a fill skipping the pool check must be caught within 2,000 schedules");
     eprintln!("mutation caught:\n{failure}");
 }
