@@ -224,10 +224,11 @@ impl ZmsqConfig {
     }
 
     /// Enable adaptive batching (builder style): the effective refill
-    /// batch moves within `min..=max` at runtime, driven by the observed
-    /// root-contention signal (see `ShardedZmsq`'s batch controller). The
-    /// starting `batch` is clamped into the range; the pool is allocated
-    /// at `max` capacity.
+    /// batch moves within `min..=max` at runtime, driven by the queue's
+    /// own contention signal (see [`Zmsq`](crate::Zmsq)'s batch
+    /// controller, run in the root visit of every `Zmsq`, so of every
+    /// `ShardedZmsq` shard too). The starting `batch` is clamped into the
+    /// range; the pool is allocated at `max` capacity.
     ///
     /// Incoherent ranges are a caller bug: `min > max` trips a
     /// `debug_assert!` and is repaired by swapping; `min == 0` with

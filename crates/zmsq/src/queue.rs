@@ -87,6 +87,19 @@
 //! and rejected (EXPERIMENTS.md, "Delete-buffer fills in one root
 //! hold"). The hold delays inserts that need the root, which retry.
 //!
+//! # The adaptive batch
+//!
+//! With [`ZmsqConfig::adaptive_batch`] the refill batch moves within
+//! `batch_min..=batch_max` (§4.2: root accesses ≈ `1/(batch + 1)`; k-LSM
+//! argues the batch should track contention). The controller runs in the
+//! root visit, where the batch is used, and counts extractions under the
+//! root lock: a visit that finds the pool exhausted counts the previous
+//! refill's pooled elements, all claimed by then, plus the takes it
+//! keeps. Every [`ADAPT_INTERVAL`] of them, [`adapt_decision`] reads the
+//! window's `trylock_fails` (every failed node trylock: root visits,
+//! insert placement, eviction) plus `refill_races` (visits that found
+//! the pool refilled by another extractor).
+//!
 //! # Panic safety
 //!
 //! A panic while holding a `TNode` lock would classically wedge the tree:
@@ -148,6 +161,67 @@ const FORCE_MIN_LEVEL: usize = 3;
 /// [`FORCE_MIN_LEVEL`], so forced insertion is available immediately.
 const INITIAL_LEAF_LEVEL: usize = 4;
 
+/// How many extractions a queue serves between two runs of the batch
+/// controller. Small enough to track phase changes within a few thousand
+/// operations, large enough that summing the two striped contention
+/// counters is noise.
+pub(crate) const ADAPT_INTERVAL: u64 = 128;
+
+/// Decide the next effective batch from one observation window.
+///
+/// `d_extracts` / `d_contention` are the deltas of successful
+/// extractions and of contention events (`trylock_fails +
+/// refill_races`) over the window. Returns `Some(new_batch)` to move,
+/// `None` to hold.
+///
+/// Policy (multiplicative increase, 1/4 decrease):
+/// * ≥ 1 contention event per 8 extractions → the root is a bottleneck;
+///   double the batch (§4.2: root-access ratio ≈ `1/(batch+1)`, so
+///   doubling roughly halves root traffic).
+/// * zero contention events → nobody is waiting on the root; decay the
+///   batch by a quarter to tighten the relaxation window.
+/// * anything in between → hold (hysteresis band so the batch does not
+///   oscillate on moderate load).
+fn adapt_decision(cur: usize, d_extracts: u64, d_contention: u64) -> Option<usize> {
+    if d_extracts == 0 {
+        return None;
+    }
+    if d_contention * 8 >= d_extracts {
+        Some(cur.saturating_mul(2).max(cur + 1))
+    } else if d_contention == 0 {
+        Some(cur - (cur / 4).max(1).min(cur))
+    } else {
+        None
+    }
+}
+
+/// The adaptive batch and its controller (module docs, "The adaptive
+/// batch"). Written only under the root lock, hence loads and stores, no
+/// read-modify-writes; atomic because other threads read it.
+#[derive(Default)]
+struct BatchControl {
+    /// The effective refill batch.
+    cur: AtomicUsize,
+    /// Extractions counted, and their count at the last decision.
+    ops: AtomicU64,
+    last_ops: AtomicU64,
+    /// Elements the last refill pooled, counted by the next visit.
+    pooled: AtomicU64,
+    /// `trylock_fails + refill_races` at the last decision.
+    last_contention: AtomicU64,
+    /// Decisions taken, and those that widened or narrowed the batch.
+    windows: AtomicU64,
+    widens: AtomicU64,
+    narrows: AtomicU64,
+}
+
+/// Add `n` to a counter with one writer at a time; returns the sum.
+fn bump(counter: &AtomicU64, n: u64) -> u64 {
+    let v = counter.load(Ordering::Relaxed) + n;
+    counter.store(v, Ordering::Relaxed);
+    v
+}
+
 /// Lock-wait attribution site for the root lock (see
 /// [`zmsq_sync::site`]): the root is the queue's serialization point,
 /// so `sync.wait_ns{site=zmsq.root}` is the headline contention signal.
@@ -198,10 +272,9 @@ where
     /// hot fields and cost `ShardedZmsq` about a fifth of its zbench
     /// `sharded` throughput.
     rank_est: CachePadded<Option<obs::RankEstimator>>,
-    /// Effective refill batch, `cfg.batch_min ..= cfg.batch_max`. Equal
-    /// to `cfg.batch` unless an adaptive controller (see `ShardedZmsq`)
-    /// moves it at runtime.
-    batch_cur: AtomicUsize,
+    /// The adaptive batch and its controller, allocated iff the config
+    /// is adaptive; a fixed-batch queue refills `cfg.batch`.
+    batch_ctl: Option<Box<BatchControl>>,
     /// Scratch buffer for pool refills, guarded by the root lock.
     refill_scratch: UnsafeCell<Vec<(u64, V)>>,
     /// [`StatsSnapshot::pool_refill_below`]. Written only under the root
@@ -488,7 +561,12 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
             occupancy: CachePadded::new(AtomicUsize::new(0)),
             refill_scratch: UnsafeCell::new(Vec::with_capacity(cfg.batch_max)),
             refill_below: AtomicU64::new(0),
-            batch_cur: AtomicUsize::new(cfg.batch),
+            batch_ctl: cfg.is_adaptive().then(|| {
+                Box::new(BatchControl {
+                    cur: AtomicUsize::new(cfg.batch),
+                    ..BatchControl::default()
+                })
+            }),
             stats: Stats::default(),
             rank_est: CachePadded::new(cfg.rank_estimator.map(obs::RankEstimator::new)),
             cfg,
@@ -508,9 +586,14 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
 
     /// Snapshot of the operation counters and the pool-buffer gauge.
     pub fn stats(&self) -> StatsSnapshot {
+        let moves = |f: fn(&BatchControl) -> &AtomicU64| {
+            (self.batch_ctl.as_deref()).map_or(0, |ctl| f(ctl).load(Ordering::Relaxed))
+        };
         StatsSnapshot {
             pool_buffers: self.pool.buffers() as u64,
             pool_refill_below: self.refill_below.load(Ordering::Relaxed),
+            batch_widens: moves(|ctl| &ctl.widens),
+            batch_narrows: moves(|ctl| &ctl.narrows),
             ..self.stats.snapshot()
         }
     }
@@ -535,25 +618,26 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
     }
 
     /// The effective pool-refill batch currently in force. Equals
-    /// `config().batch` unless [`set_current_batch`](Self::set_current_batch)
-    /// moved it (e.g. `ShardedZmsq`'s adaptive controller).
+    /// `config().batch` unless the adaptive controller moved it (module
+    /// docs, "The adaptive batch").
     pub fn current_batch(&self) -> usize {
-        self.batch_cur.load(Ordering::Relaxed)
+        match &self.batch_ctl {
+            Some(ctl) => ctl.cur.load(Ordering::Relaxed),
+            None => self.cfg.batch,
+        }
     }
 
     /// Set the effective pool-refill batch, clamped into the configured
     /// `batch_min ..= batch_max` range; returns the value actually
-    /// applied. A no-op (returning 0) on a strict queue (`batch == 0`).
-    ///
-    /// Safe to call at any time from any thread: the value is read once
-    /// per refill under the root lock, and the pool's buffer is allocated
-    /// at `batch_max`, so any in-range value fits.
-    pub fn set_current_batch(&self, n: usize) -> usize {
-        if self.cfg.batch_max == 0 {
-            return 0;
-        }
+    /// applied. A no-op (returning `batch`) on a fixed-batch queue. The
+    /// value is read once per take under the root lock, and the pool's
+    /// buffer is allocated at `batch_max`, so any in-range value fits.
+    fn set_current_batch(&self, n: usize) -> usize {
+        let Some(ctl) = &self.batch_ctl else {
+            return self.cfg.batch;
+        };
         let applied = n.clamp(self.cfg.batch_min.max(1), self.cfg.batch_max);
-        self.batch_cur.store(applied, Ordering::Relaxed);
+        ctl.cur.store(applied, Ordering::Relaxed);
         applied
     }
 
@@ -1406,6 +1490,12 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
             root.unlock();
             return RootOutcome::Retry;
         }
+        if let Some(ctl) = &self.batch_ctl {
+            // The pool is exhausted: the last refill's elements are claimed.
+            let pooled = ctl.pooled.load(Ordering::Relaxed);
+            ctl.pooled.store(0, Ordering::Relaxed);
+            self.count_extracts(ctl, pooled);
+        }
         if root.count() == 0 {
             // Empty root + exhausted pool == empty queue (see module docs).
             root.unlock();
@@ -1446,11 +1536,11 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
                 let _refill = obs::span!(obs::SpanPhase::PoolRefill);
                 let mut beneath = 1;
                 if self.cfg.batch_max > 0 && remaining > 0 {
-                    // The *effective* batch: cfg.batch unless an adaptive
+                    // The *effective* batch: cfg.batch unless the adaptive
                     // controller has moved it. Always within
                     // batch_min..=batch_max, hence within the pool's
                     // allocated capacity.
-                    let n = remaining.min(self.batch_cur.load(Ordering::Relaxed).max(1));
+                    let n = remaining.min(self.current_batch().max(1));
                     if merge {
                         gave = self.merge_top(n, scratch);
                         beneath = 2;
@@ -1459,7 +1549,12 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
                         unsafe { root.set_mut().drain_top(n, scratch) };
                     }
                 }
-                kept += take.keep(best, scratch);
+                let k = take.keep(best, scratch);
+                kept += k;
+                if let Some(ctl) = &self.batch_ctl {
+                    ctl.pooled.store(scratch.len() as u64, Ordering::Relaxed);
+                    self.count_extracts(ctl, k as u64);
+                }
                 // SAFETY: root locked.
                 unsafe { root.refresh_cache() };
                 if scratch.is_empty() {
@@ -1497,6 +1592,32 @@ impl<V: Send, S: NodeSet<V>, L: RawTryLock> Zmsq<V, S, L> {
         self.stats.root_extracts.add(kept as u64);
         obs::trace_event!(obs::EventKind::RootAccess);
         RootOutcome::Got(kept)
+    }
+
+    /// The adaptive controller's window (module docs, "The adaptive
+    /// batch"): count `n` extractions and, each time the count crosses a
+    /// multiple of [`ADAPT_INTERVAL`], move the batch. Root lock held.
+    fn count_extracts(&self, ctl: &BatchControl, n: u64) {
+        let prev = ctl.ops.load(Ordering::Relaxed);
+        let ops = bump(&ctl.ops, n);
+        if prev / ADAPT_INTERVAL == ops / ADAPT_INTERVAL {
+            return;
+        }
+        let contention = self.stats.trylock_fails.sum() + self.stats.refill_races.sum();
+        let d_ex = ops - ctl.last_ops.load(Ordering::Relaxed);
+        let d_c = contention.saturating_sub(ctl.last_contention.load(Ordering::Relaxed));
+        ctl.last_ops.store(ops, Ordering::Relaxed);
+        ctl.last_contention.store(contention, Ordering::Relaxed);
+        bump(&ctl.windows, 1);
+        let cur = ctl.cur.load(Ordering::Relaxed);
+        if let Some(next) = adapt_decision(cur, d_ex, d_c) {
+            let applied = self.set_current_batch(next);
+            if applied > cur {
+                bump(&ctl.widens, 1);
+            } else if applied < cur {
+                bump(&ctl.narrows, 1);
+            }
+        }
     }
 
     /// The merge refill: with the root locked, lock both children
@@ -2597,6 +2718,85 @@ mod tests {
         let s = q.stats();
         assert!(s.pool_hits > 0);
         assert!(s.pool_refills > 0);
+    }
+
+    #[test]
+    fn adapt_decision_policy() {
+        // Heavy contention (>= 1 event per 8 extracts): widen.
+        assert_eq!(adapt_decision(8, 128, 16), Some(16));
+        assert_eq!(adapt_decision(8, 128, 1_000), Some(16));
+        // Zero contention: decay by a quarter.
+        assert_eq!(adapt_decision(16, 128, 0), Some(12));
+        assert_eq!(adapt_decision(2, 128, 0), Some(1));
+        assert_eq!(adapt_decision(1, 128, 0), Some(0)); // clamped by set_current_batch
+                                                        // Moderate contention: hold.
+        assert_eq!(adapt_decision(8, 128, 5), None);
+        // Empty window: hold.
+        assert_eq!(adapt_decision(8, 0, 0), None);
+    }
+
+    /// A plain `Zmsq` runs its own controller: single-threaded
+    /// extraction sees no contention, so the batch walks down to
+    /// `batch_min` and the move shows in `metrics()`.
+    #[test]
+    fn plain_queue_adaptive_batch_narrows() {
+        let q = Q::with_config(ZmsqConfig::default().batch(32).adaptive_batch(4, 64));
+        for i in 0..30_000u64 {
+            q.insert(i, i);
+        }
+        let mut extracted = 0;
+        while q.current_batch() != 4 {
+            assert!(
+                q.extract_max().is_some(),
+                "drained at batch {}",
+                q.current_batch()
+            );
+            extracted += 1;
+        }
+        assert!(
+            extracted <= 20 * ADAPT_INTERVAL,
+            "took {extracted} extractions"
+        );
+        let snap = pq_traits::ConcurrentPriorityQueue::metrics(&q).unwrap();
+        assert!(snap.counter("zmsq.batch.narrows").unwrap() > 0);
+        assert_eq!(snap.counter("zmsq.batch.widens"), Some(0));
+        assert_eq!(snap.gauge("zmsq.batch.current"), Some(4));
+    }
+
+    /// The controller's window counts every extraction once, under the
+    /// root lock: pool claims when the next visit finds the pool
+    /// exhausted, root takes when they are kept. Whatever the mix, N
+    /// extractions close N/128 windows, give or take the last pool.
+    #[test]
+    fn controller_windows_count_every_extraction() {
+        let q = Q::with_config(ZmsqConfig::default().batch(32).adaptive_batch(4, 64));
+        for i in 0..40_000u64 {
+            q.insert(i * 7 % 40_000, i);
+        }
+        let mut out = Vec::new();
+        let mut n = 0u64;
+        for round in 0..600u64 {
+            if round % 3 == 0 {
+                out.clear();
+                n += q.extract_batch(&mut out, 1 + (round % 50) as usize) as u64;
+            } else {
+                q.extract_max().unwrap();
+                n += 1;
+            }
+        }
+        let s = q.stats();
+        assert_eq!(s.extracts, n);
+        assert!(s.pool_hits > 0 && s.root_extracts > 0, "{s:?}");
+        let windows = q
+            .batch_ctl
+            .as_ref()
+            .unwrap()
+            .windows
+            .load(Ordering::Relaxed);
+        assert!(
+            windows.abs_diff(n / ADAPT_INTERVAL) <= 1,
+            "{n} extractions closed {windows} windows"
+        );
     }
 
     #[test]

@@ -20,16 +20,13 @@
 //!   winner comes up empty the loser is tried next — one bounded
 //!   work-steal — before paying for the full sweep. Ties between equal
 //!   hints are broken randomly so equal shards wear evenly.
-//! * **An adaptive batch controller.** With
-//!   [`ZmsqConfig::adaptive_batch`], each shard's pool-refill batch moves
-//!   within `batch_min..=batch_max` driven by the observed root
-//!   contention. §4.2 measures the root-access ratio at `1/(batch + 1)`:
-//!   widening the batch is precisely what relieves a contended root, and
-//!   narrowing it tightens the relaxation window again when contention
-//!   subsides (k-LSM makes the same batch-tracks-contention argument).
-//!   The signal is the per-shard `trylock_fails + refill_races` delta —
-//!   both count a second extractor arriving at the root while a refill
-//!   is in flight, which is exactly the event a wider batch amortizes.
+//! * **Per-shard adaptive batches.** With
+//!   [`ZmsqConfig::adaptive_batch`], each shard's own controller (see
+//!   [`Zmsq`]'s module docs, "The adaptive batch") moves its pool-refill
+//!   batch within `batch_min..=batch_max` on that shard's
+//!   `trylock_fails + refill_races`: failed node trylocks anywhere in the
+//!   shard (root visits, insert placement, eviction) plus root visits
+//!   that found the pool refilled by another extractor.
 //!
 //! Relaxation composes: each shard individually honours its top-`k`
 //! window bound (at the *current* effective batch — `batch_max` is the
@@ -71,58 +68,11 @@ thread_local! {
     static HOMES: RefCell<Vec<(u64, usize)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// How many successful extractions a shard serves between two runs of
-/// the batch controller. Small enough to track phase changes within a
-/// few thousand operations, large enough that the stats snapshot cost
-/// (summing striped counters) is noise.
-const ADAPT_INTERVAL: u64 = 128;
-
-/// Decide the next effective batch from one observation window.
-///
-/// `d_extracts` / `d_contention` are the deltas of successful
-/// extractions and of root-contention events (`trylock_fails +
-/// refill_races`) over the window. Returns `Some(new_batch)` to move,
-/// `None` to hold.
-///
-/// Policy (multiplicative increase, 1/4 decrease):
-/// * ≥ 1 contention event per 8 extractions → the root is a bottleneck;
-///   double the batch (§4.2: root-access ratio ≈ `1/(batch+1)`, so
-///   doubling roughly halves root traffic).
-/// * zero contention events → nobody is waiting on the root; decay the
-///   batch by a quarter to tighten the relaxation window.
-/// * anything in between → hold (hysteresis band so the batch does not
-///   oscillate on moderate load).
-pub(crate) fn adapt_decision(cur: usize, d_extracts: u64, d_contention: u64) -> Option<usize> {
-    if d_extracts == 0 {
-        return None;
-    }
-    if d_contention * 8 >= d_extracts {
-        Some(cur.saturating_mul(2).max(cur + 1))
-    } else if d_contention == 0 {
-        Some(cur - (cur / 4).max(1).min(cur))
-    } else {
-        None
-    }
-}
-
-/// Per-shard controller state. Plain relaxed atomics: the controller is
-/// a heuristic and tolerates racy windows (two threads adapting the same
-/// shard concurrently just run the same decision twice).
-#[derive(Default)]
-struct ShardAdapt {
-    /// Successful extractions routed through this wrapper.
-    ops: AtomicU64,
-    /// `extracts` counter at the end of the previous window.
-    last_extracts: AtomicU64,
-    /// `trylock_fails + refill_races` at the end of the previous window.
-    last_contention: AtomicU64,
-}
-
 /// The shards and everything the direct (unbuffered) paths need: home
-/// assignments, the two-choice / steal / sweep extraction and the batch
-/// controller. Supplies the relaxation layer's per-shard operations
-/// ([`Shards`]); a type of its own so those per-shard `insert` /
-/// `extract_batch` methods never sit beside the queue's public ones.
+/// assignments and the two-choice / steal / sweep extraction. Supplies
+/// the relaxation layer's per-shard operations ([`Shards`]); a type of
+/// its own so those per-shard `insert` / `extract_batch` methods never
+/// sit beside the queue's public ones.
 struct ZmsqShards<V, S, L>
 where
     V: Send,
@@ -134,17 +84,11 @@ where
     instance_id: u64,
     /// This instance's round-robin registration counter.
     next_home: AtomicUsize,
-    /// Batch-controller state, one per shard; `None` when the config is
-    /// not adaptive (`batch_min == batch_max`).
-    adapt: Option<Box<[ShardAdapt]>>,
-    /// Controller moves, for observability (`zmsq.batch.widens/narrows`).
-    widens: AtomicU64,
-    narrows: AtomicU64,
 }
 
 /// A fixed set of ZMSQ shards with thread-affine insertion, two-distinct-
 /// choice extraction, bounded work-stealing, and (optionally) an adaptive
-/// per-shard refill batch. See the module docs.
+/// refill batch in every shard. See the module docs.
 pub struct ShardedZmsq<V, S = DequeSet<V>, L = TatasLock>
 where
     V: Send,
@@ -159,7 +103,7 @@ where
 impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> ShardedZmsq<V, S, L> {
     /// Create `shards` queues (rounded up to a power of two), each with
     /// the given configuration. An adaptive configuration
-    /// ([`ZmsqConfig::adaptive_batch`]) arms the per-shard batch
+    /// ([`ZmsqConfig::adaptive_batch`]) arms each shard's batch
     /// controller.
     pub fn new(shards: usize, cfg: ZmsqConfig) -> Self {
         Self::with_tuning(shards, cfg, ShardedConfig::default())
@@ -179,9 +123,6 @@ impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> ShardedZmsq<V, S, L> {
             cfg = cfg.capacity(cap.div_ceil(n));
         }
         let shards: Box<[Zmsq<V, S, L>]> = (0..n).map(|_| Zmsq::with_config(cfg.clone())).collect();
-        // Read adaptivity off the *normalized* config the shards actually
-        // run with (normalization may have collapsed an incoherent range).
-        let adaptive = shards[0].config().is_adaptive();
         // Buffered elements are invisible to capacity/occupancy
         // accounting and to shed policies, so a bounded queue keeps the
         // legacy admission paths regardless of tuning.
@@ -191,9 +132,6 @@ impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> ShardedZmsq<V, S, L> {
                 shards,
                 instance_id: INSTANCE_IDS.fetch_add(1, Ordering::Relaxed),
                 next_home: AtomicUsize::new(0),
-                adapt: adaptive.then(|| (0..n).map(|_| ShardAdapt::default()).collect()),
-                widens: AtomicU64::new(0),
-                narrows: AtomicU64::new(0),
             },
             relax: Relax::new(tuning, unbounded),
         }
@@ -209,9 +147,10 @@ impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> ShardedZmsq<V, S, L> {
         self.core.shards.len()
     }
 
-    /// Whether the adaptive batch controller is armed.
+    /// Whether the shards' adaptive batch controllers are armed (read
+    /// off the normalized config the shards run with).
     pub fn is_adaptive(&self) -> bool {
-        self.core.adapt.is_some()
+        self.core.shards[0].config().is_adaptive()
     }
 
     /// The calling thread's home shard for **this instance**: stable per
@@ -449,37 +388,6 @@ impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> ZmsqShards<V, S, L> {
         }
     }
 
-    /// Record `count` successful extractions against shard `s` and run
-    /// the batch controller when the window boundary is crossed.
-    fn note_extracts(&self, s: usize, count: u64) {
-        let Some(adapt) = &self.adapt else { return };
-        let st = &adapt[s];
-        let prev = st.ops.fetch_add(count, Ordering::Relaxed);
-        if prev / ADAPT_INTERVAL == (prev + count) / ADAPT_INTERVAL {
-            return; // window not finished yet
-        }
-        let shard = &self.shards[s];
-        let snap = shard.stats();
-        let contention = snap.trylock_fails + snap.refill_races;
-        // Saturating: two threads can cross window boundaries at once,
-        // and the loser of the `swap` race would otherwise compute a
-        // negative delta. The clamped-to-zero window is simply skipped
-        // by the controller (no signal, no move).
-        let d_ex = snap
-            .extracts
-            .saturating_sub(st.last_extracts.swap(snap.extracts, Ordering::Relaxed));
-        let d_c = contention.saturating_sub(st.last_contention.swap(contention, Ordering::Relaxed));
-        let cur = shard.current_batch();
-        if let Some(next) = adapt_decision(cur, d_ex, d_c) {
-            let applied = shard.set_current_batch(next);
-            if applied > cur {
-                self.widens.fetch_add(1, Ordering::Relaxed);
-            } else if applied < cur {
-                self.narrows.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
     fn insert_direct(&self, prio: u64, value: V) {
         let home = self.home_shard();
         if self.shards[home].capacity().is_none() {
@@ -510,91 +418,65 @@ impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> ZmsqShards<V, S, L> {
         Err(InsertError::Full(value))
     }
 
-    fn extract_direct(&self) -> Option<(u64, V)> {
-        if self.shards.len() == 1 {
-            let got = self.shards[0].extract_max();
-            if got.is_some() {
-                self.note_extracts(0, 1);
-            }
-            return got;
-        }
-        let (winner, loser) = {
-            let _pick = obs::span!(obs::SpanPhase::ShardPick);
-            let (a, b) = self.pick_two();
-            self.order_by_hint(a, b)
-        };
-        if let Some(got) = self.shards[winner].extract_max() {
-            self.note_extracts(winner, 1);
-            return Some(got);
-        }
-        // The winner's hint was stale (drained tree, or both hints None
-        // while a pool still holds elements). Steal from the loser —
-        // bounded to one attempt — before the O(shards) sweep.
-        if let Some(got) = self.shards[loser].extract_max() {
-            self.note_extracts(loser, 1);
-            return Some(got);
-        }
-        // Sweep fallback: preserves no-spurious-failure per shard.
-        let start = self.random_shard();
-        for i in 0..self.shards.len() {
-            let s = (start + i) & (self.shards.len() - 1);
-            if let Some(got) = self.shards[s].extract_max() {
-                self.note_extracts(s, 1);
-                return Some(got);
-            }
-        }
-        None
-    }
-
-    fn extract_batch_direct(&self, out: &mut Vec<(u64, V)>, n: usize) -> usize {
-        if self.shards.len() == 1 {
-            let got = self.shards[0].extract_batch(out, n);
-            if got > 0 {
-                self.note_extracts(0, got as u64);
-            }
-            return got;
-        }
-        let mut got = 0;
-        while got < n {
+    /// One pick / steal / sweep round: the two-choice winner, then one
+    /// steal from the loser if the winner's hint was stale (a drained
+    /// tree, or both hints `None` while a pool still holds elements),
+    /// then every shard from a random start. `take(shard, capped)`
+    /// extracts from one shard (`capped` is true for the winner and the
+    /// loser, false in the sweep) and returns whether the round is done.
+    /// Returns `false` only if the sweep ended without `take` saying so.
+    fn pick_steal_sweep(&self, mut take: impl FnMut(&Zmsq<V, S, L>, bool) -> bool) -> bool {
+        let n = self.shards.len();
+        let mut start = 0;
+        if n > 1 {
             let (winner, loser) = {
                 let _pick = obs::span!(obs::SpanPhase::ShardPick);
                 let (a, b) = self.pick_two();
                 self.order_by_hint(a, b)
             };
-            // Cap each round at the winner's effective batch: draining a
-            // whole shard in one round would hand out its *low* elements
-            // while a sibling shard still holds high ones, inflating the
-            // composed rank error far past the per-shard window.
-            let cap = self.shards[winner].current_batch().max(1);
-            let want = (n - got).min(cap);
-            let mut round = self.shards[winner].extract_batch(out, want);
-            if round > 0 {
-                self.note_extracts(winner, round as u64);
-            } else {
-                round = self.shards[loser].extract_batch(out, want);
-                if round > 0 {
-                    self.note_extracts(loser, round as u64);
-                }
+            if take(&self.shards[winner], true) || take(&self.shards[loser], true) {
+                return true;
             }
-            if round == 0 {
-                // Sweep: take whatever every shard can still supply.
-                let start = self.random_shard();
-                for i in 0..self.shards.len() {
-                    let s = (start + i) & (self.shards.len() - 1);
-                    let c = self.shards[s].extract_batch(out, n - got - round);
-                    if c > 0 {
-                        self.note_extracts(s, c as u64);
-                        round += c;
-                    }
-                    if got + round >= n {
-                        break;
-                    }
-                }
-                if round == 0 {
-                    break; // every shard individually reported empty
-                }
+            start = self.random_shard();
+        }
+        // Sweep fallback: preserves no-spurious-failure per shard.
+        (0..n).any(|i| take(&self.shards[(start + i) & (n - 1)], false))
+    }
+
+    fn extract_direct(&self) -> Option<(u64, V)> {
+        let mut got = None;
+        self.pick_steal_sweep(|shard, _| {
+            got = shard.extract_max();
+            got.is_some()
+        });
+        got
+    }
+
+    /// Rounds of [`pick_steal_sweep`](Self::pick_steal_sweep) until `n`
+    /// elements are out. A sweep takes up to what is still wanted from
+    /// each shard in turn; one that ends short saw every shard report
+    /// empty.
+    fn extract_batch_direct(&self, out: &mut Vec<(u64, V)>, n: usize) -> usize {
+        let mut got = 0;
+        while got < n {
+            let done = self.pick_steal_sweep(|shard, capped| {
+                // Cap the winner's and the loser's takes at the shard's
+                // effective batch: draining a whole shard in one round
+                // would hand out its *low* elements while a sibling shard
+                // still holds high ones, inflating the composed rank
+                // error far past the per-shard window.
+                let cap = if capped {
+                    shard.current_batch().max(1)
+                } else {
+                    n
+                };
+                let c = shard.extract_batch(out, (n - got).min(cap));
+                got += c;
+                c > 0 && (capped || got >= n)
+            });
+            if !done {
+                break;
             }
-            got += round;
         }
         got
     }
@@ -610,11 +492,7 @@ impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> Shards<V> for ZmsqShards<V
     }
 
     fn extract_batch(&self, i: usize, out: &mut Vec<(u64, V)>, want: usize) -> usize {
-        let got = self.shards[i].extract_batch(out, want);
-        if got > 0 {
-            self.note_extracts(i, got as u64);
-        }
-        got
+        self.shards[i].extract_batch(out, want)
     }
 
     /// Random under stickiness (the MultiQueue policy — spreads each
@@ -638,8 +516,7 @@ impl<V: Send + 'static, S: NodeSet<V>, L: RawTryLock> Shards<V> for ZmsqShards<V
         self.order_by_hint(a, b).0
     }
 
-    /// Two-choice, steal and sweep, with the batch controller's
-    /// bookkeeping.
+    /// Two-choice, steal and sweep.
     fn extract_fallback(&self, out: &mut Vec<(u64, V)>, want: usize) -> usize {
         self.extract_batch_direct(out, want)
     }
@@ -698,14 +575,6 @@ impl<V: Send + 'static, S: NodeSet<V> + 'static, L: RawTryLock + 'static>
         let mut snap = total.to_obs();
         snap.push_gauge("zmsq.shards", self.core.shards.len() as i64);
         snap.push_gauge("zmsq.batch.current", self.mean_batch() as i64);
-        snap.push_counter(
-            "zmsq.batch.widens",
-            self.core.widens.load(Ordering::Relaxed),
-        );
-        snap.push_counter(
-            "zmsq.batch.narrows",
-            self.core.narrows.load(Ordering::Relaxed),
-        );
         self.relax.export(&mut snap);
         if let Some(cap) = self.capacity() {
             snap.push_gauge("queue.pressure.capacity", cap as i64);
@@ -989,21 +858,6 @@ mod tests {
     }
 
     #[test]
-    fn adapt_decision_policy() {
-        // Heavy contention (>= 1 event per 8 extracts): widen.
-        assert_eq!(adapt_decision(8, 128, 16), Some(16));
-        assert_eq!(adapt_decision(8, 128, 1_000), Some(16));
-        // Zero contention: decay by a quarter.
-        assert_eq!(adapt_decision(16, 128, 0), Some(12));
-        assert_eq!(adapt_decision(2, 128, 0), Some(1));
-        assert_eq!(adapt_decision(1, 128, 0), Some(0)); // clamped by set_current_batch
-                                                        // Moderate contention: hold.
-        assert_eq!(adapt_decision(8, 128, 5), None);
-        // Empty window: hold.
-        assert_eq!(adapt_decision(8, 0, 0), None);
-    }
-
-    #[test]
     fn controller_narrows_under_low_contention() {
         // Single-threaded extraction generates zero trylock failures and
         // zero refill races, so the controller must walk the batch down
@@ -1066,7 +920,7 @@ mod tests {
         // On a multi-core box contention is near-certain and widens must
         // follow; on a single hardware thread the signal may legitimately
         // stay at zero — then no widen may be recorded either.
-        if contention >= ADAPT_INTERVAL / 8 {
+        if contention >= crate::queue::ADAPT_INTERVAL / 8 {
             assert!(widens > 0, "contention {contention} but no widen");
         }
     }

@@ -113,6 +113,11 @@ pub struct StatsSnapshot {
     /// a split in flight into one of them, before it refreshes that
     /// node's cache, makes the count undercount.
     pub pool_refill_below: u64,
+    /// Adaptive batch controller moves that widened the batch (zero on
+    /// a fixed-batch queue).
+    pub batch_widens: u64,
+    /// Adaptive batch controller moves that narrowed the batch.
+    pub batch_narrows: u64,
 }
 
 impl Stats {
@@ -138,8 +143,10 @@ impl Stats {
             producer_waits: self.producer_waits.sum(),
             // A gauge of the pool, not a counter: `Zmsq::stats` fills it.
             pool_buffers: 0,
-            // Kept outside the striped counters: `Zmsq::stats` fills it.
+            // Kept outside the striped counters: `Zmsq::stats` fills them.
             pool_refill_below: 0,
+            batch_widens: 0,
+            batch_narrows: 0,
         }
     }
 }
@@ -171,6 +178,8 @@ impl StatsSnapshot {
             producer_waits,
             pool_buffers,
             pool_refill_below,
+            batch_widens,
+            batch_narrows,
         } = *other;
         self.inserts += inserts;
         self.insert_retries += insert_retries;
@@ -192,6 +201,8 @@ impl StatsSnapshot {
         self.producer_waits += producer_waits;
         self.pool_buffers += pool_buffers;
         self.pool_refill_below += pool_refill_below;
+        self.batch_widens += batch_widens;
+        self.batch_narrows += batch_narrows;
     }
 
     /// Total elements shed at capacity, whatever the mechanism.
@@ -230,6 +241,8 @@ impl StatsSnapshot {
         s.push_counter("zmsq.trylock_fails", self.trylock_fails);
         s.push_counter("zmsq.refill_races", self.refill_races);
         s.push_counter("zmsq.pool_refill_below", self.pool_refill_below);
+        s.push_counter("zmsq.batch.widens", self.batch_widens);
+        s.push_counter("zmsq.batch.narrows", self.batch_narrows);
         s.push_counter("queue.shed.capacity_hits", self.capacity_hits);
         s.push_counter("queue.shed.rejected", self.shed_rejected);
         s.push_counter("queue.shed.evicted", self.shed_evicted);

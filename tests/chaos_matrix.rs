@@ -266,9 +266,9 @@ fn conservation_hazard_and_leak_under_faults() {
 /// Sharded conservation under stretched pool windows: every shard's
 /// claim and refill paths hit the same failpoints, so the two-choice
 /// winner/loser steal and the cross-shard sweep run against delayed
-/// claims and racing refills. The adaptive batch controller is armed so
-/// its mid-run resizes (`set_current_batch` between refills) are also
-/// under fire.
+/// claims and racing refills. Each shard's adaptive batch controller is
+/// armed, so its mid-run resizes (made in root visits, between takes)
+/// are also under fire, and the test checks that some happened.
 #[test]
 fn conservation_sharded_adaptive_under_pool_faults() {
     let _x = fault::exclusive();
@@ -297,6 +297,9 @@ fn conservation_sharded_adaptive_under_pool_faults() {
         fault::hit_count("pool.claim-delay") > 0,
         "seed {seed:#x}: claim-delay failpoint never evaluated"
     );
+    let m = q.metrics().unwrap();
+    let moves = m.counter("zmsq.batch.widens").unwrap() + m.counter("zmsq.batch.narrows").unwrap();
+    assert!(moves > 0, "seed {seed:#x}: the adaptive batch never moved");
     fault::reset();
 }
 
